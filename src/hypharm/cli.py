@@ -3,9 +3,10 @@
 Subcommands: search, verify, eta, decompose, reduce.  Exit codes: 0 when
 everything checked holds, 1 when a falsifying instance was found (for
 `search`, an exact collision would refute the headline claim), 2 on
-usage errors.  Worker count comes from HYPHARM_THREADS (default: all
-cores); all randomness is seeded, so reruns with equal parameters emit
-byte-identical result payloads.
+usage errors, including a search bound whose residue column would not
+fit in physical memory.  All randomness is seeded, so reruns with equal
+parameters emit byte-identical result payloads; `search` adds its phase
+timings and screen counters to the manifest, not to the results.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from . import __version__
 from . import lemmas
 from .report import RunManifest, render
-from .search import CollisionReport, SearchConfig, search, worker_count
+from .search import CollisionReport, SearchConfig, search
 from .sums import Interval, IntervalPair, eta_band_report, g_exact, reduce_overlap
 
 EXIT_OK = 0
@@ -99,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, subcommand: str, parameters: dict, results, outcome: str, started, t0) -> None:
+def _emit(args, subcommand: str, parameters: dict, results, outcome: str, started, t0,
+          stats: dict | None = None) -> None:
     manifest = RunManifest(
         subcommand=subcommand,
         parameters=parameters,
@@ -109,6 +111,7 @@ def _emit(args, subcommand: str, parameters: dict, results, outcome: str, starte
         finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         wall_time_s=round(time.perf_counter() - t0, 6),
         outcome=outcome,
+        stats=stats or {},
     )
     text = render(manifest, results, args.format)
     if args.output:
@@ -138,10 +141,10 @@ def cmd_search(args, started, t0) -> int:
             modulus_count=args.moduli,
             seed=args.seed,
         )
+        report = search(config)
     except ValueError as exc:
         print(f"hypharm search: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = search(config, threads=worker_count())
     collided = bool(report.exact_collision_pairs)
     outcome = "exact collision found" if collided else "no exact collisions"
     parameters = {
@@ -150,7 +153,7 @@ def cmd_search(args, started, t0) -> int:
         "moduli": args.moduli,
         "seed": args.seed,
     }
-    _emit(args, "search", parameters, _search_results(report), outcome, started, t0)
+    _emit(args, "search", parameters, _search_results(report), outcome, started, t0, report.stats)
     return EXIT_FALSIFIED if collided else EXIT_OK
 
 

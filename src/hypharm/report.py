@@ -2,10 +2,11 @@
 
 A report is a single object {"manifest": ..., "results": [...]}.  The
 manifest carries run metadata (parameters, version, seed, timestamps,
-wall time); the results are pure data, so reruns with equal manifests
-produce byte-identical result encodings regardless of timing or worker
-count.  Rationals are encoded as "num/den" strings, enclosure endpoints
-as "m*2^e" strings, both lossless.
+wall time, and for `search` the phase timings and screen counters in
+`stats`); the results are pure data, so reruns with equal parameters
+produce byte-identical result encodings regardless of timing.
+Rationals are encoded as "num/den" strings, enclosure endpoints as
+"m*2^e" strings, both lossless.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import dataclasses
 import enum
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .kernel import Enclosure, encode_dyadic
@@ -62,6 +63,7 @@ class RunManifest:
     finished: str
     wall_time_s: float
     outcome: str
+    stats: dict = field(default_factory=dict)
 
 
 def results_bytes(results) -> bytes:
@@ -108,6 +110,8 @@ def render_text(manifest: RunManifest, results) -> str:
         f"  parameters: {json.dumps(encode_value(manifest.parameters), sort_keys=True)}",
         f"  wall time: {manifest.wall_time_s:.3f}s",
     ]
+    if manifest.stats:
+        lines.append(f"  stats: {json.dumps(encode_value(manifest.stats), sort_keys=True)}")
     for record in results:
         lines.append("  " + json.dumps(encode_value(record), sort_keys=True))
     return "\n".join(lines) + "\n"

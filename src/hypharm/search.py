@@ -5,7 +5,9 @@ its sum's residues modulo several large primes, computed from prefix
 arrays in O(1) per window.  Equal exact sums force equal fingerprints,
 so grouping by fingerprint and exactly confirming every nontrivial group
 can never miss a collision; the big primes merely keep false groups
-negligible.
+negligible.  The screen sorts a single residue column and fingerprints
+only the windows whose first residue repeats.  numpy is imported by
+`search` itself, so the other subcommands never load it.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from itertools import combinations
 
 from .kernel import miller_rabin
 from .sums import Interval, IntervalPair, window_power_sum
@@ -27,15 +27,6 @@ Fingerprint = tuple[int, ...]
 
 _MODULUS_LOW = 1 << 61
 _MODULUS_HIGH = 1 << 62
-
-
-def worker_count(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("HYPHARM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -64,6 +55,9 @@ class CollisionReport:
     screen_collision_pairs: list[IntervalPair]
     exact_collision_pairs: list[IntervalPair]
     wall_time: float
+    # Phase timings (fill_s includes the prefix arrays) and screen
+    # counters: run metadata for the manifest, never part of the results.
+    stats: dict = field(default_factory=dict)
 
 
 def select_moduli(config: SearchConfig) -> tuple[int, ...]:
@@ -123,21 +117,6 @@ def confirm_exact(pair: IntervalPair, exponent: int = 2) -> bool:
     return window_power_sum(pair.first, exponent) == window_power_sum(pair.second, exponent)
 
 
-def _start_offset(start: int, n: int) -> int:
-    # windows are laid out start-major: start 1 first, ends ascending
-    return (start - 1) * n - (start - 1) * (start - 2) // 2
-
-
-def _fill_chunk(matrix, start_lo, start_hi, n, prefix_arrays, moduli):
-    for start in range(start_lo, start_hi):
-        row0 = _start_offset(start, n)
-        rows = n - start + 1
-        for col, (p, pref) in enumerate(zip(moduli, prefix_arrays)):
-            diff = pref[start:] - pref[start - 1]
-            np.add(diff, p, out=diff, where=diff < 0)
-            matrix[row0 : row0 + rows, col] = diff
-
-
 def _exact_groups(members: list[Interval], exponent: int) -> list[list[Interval]]:
     by_value: dict = {}
     for interval in members:
@@ -145,64 +124,75 @@ def _exact_groups(members: list[Interval], exponent: int) -> list[list[Interval]
     return [group for group in by_value.values() if len(group) > 1]
 
 
-def search(config: SearchConfig, threads: int | None = None) -> CollisionReport:
+def _pairs(group: list[Interval]) -> list[IntervalPair]:
+    return [IntervalPair(first, second) for first, second in combinations(group, 2)]
+
+
+def search(config: SearchConfig) -> CollisionReport:
     """Screen all N(N+1)/2 windows and exactly confirm every screen group.
 
-    Self-pairs are excluded by construction (each window is enumerated
-    once).  Output is deterministic for a fixed config regardless of the
-    worker count: workers fill disjoint slices of the residue matrix and
-    collision groups are processed in sorted window order.
+    Pass 1 fills one int64 column with every window's residue modulo the
+    first prime, sorts it in place and keeps the values that repeat; peak
+    memory is the column's 8 bytes per window plus a 1-byte equality mask.
+    Only if some value repeats does pass 2 revisit each start, fingerprint
+    the windows whose key repeats over every modulus, and group them by
+    full fingerprint.
+    Each window is enumerated once, so self-pairs never arise, and pairs
+    are reported in sorted window order, so output is deterministic.
     """
+    import numpy as np
+
     t0 = time.perf_counter()
     n = config.max_n
-    moduli = select_moduli(config)
-    prefix_arrays = [
-        np.array(prefix_residues(n, p, config.exponent), dtype=np.int64) for p in moduli
-    ]
     count = n * (n + 1) // 2
-    matrix = np.empty((count, len(moduli)), dtype=np.int64)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * count > memory:
+        raise ValueError(
+            f"{count} windows need {8 * count} bytes of residues, "
+            f"more than the {memory} bytes of physical memory"
+        )
+    moduli = select_moduli(config)
+    prefixes = [np.array(prefix_residues(n, p, config.exponent), dtype=np.int64) for p in moduli]
 
-    workers = worker_count(threads)
-    chunk = max(1, (n + 4 * workers - 1) // (4 * workers))
-    bounds = [(lo, min(lo + chunk, n + 1)) for lo in range(1, n + 1, chunk)]
-    if workers == 1:
-        for lo, hi in bounds:
-            _fill_chunk(matrix, lo, hi, n, prefix_arrays, moduli)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fill_chunk, matrix, lo, hi, n, prefix_arrays, moduli)
-                for lo, hi in bounds
-            ]
-            for future in futures:
-                future.result()
+    def residues(start: int, column: int, out=None):
+        # window sums mod p of {start, ..., end} for every end >= start
+        prefix = prefixes[column]
+        diff = np.subtract(prefix[start:], prefix[start - 1], out=out)
+        return np.add(diff, moduli[column], out=diff, where=diff < 0)
 
-    _, inverse, counts = np.unique(matrix, axis=0, return_inverse=True, return_counts=True)
-    inverse = np.asarray(inverse).reshape(-1)
+    key = np.empty(count, dtype=np.int64)
+    row0 = 0
+    for start in range(1, n + 1):
+        row1 = row0 + n - start + 1
+        residues(start, 0, key[row0:row1])
+        row0 = row1
+    t_fill = time.perf_counter()
+    key.sort()
+    duplicates = np.unique(key[1:][key[1:] == key[:-1]])
+    del key
+    t_sort = time.perf_counter()
+
+    by_print: dict[Fingerprint, list[Interval]] = {}
+    if duplicates.size:
+        for start in range(1, n + 1):
+            first = residues(start, 0)
+            hits = np.flatnonzero(np.isin(first, duplicates))
+            if not hits.size:
+                continue
+            columns = [first[hits]] + [residues(start, c)[hits] for c in range(1, len(moduli))]
+            for i, extent in enumerate(hits.tolist()):
+                fingerprint = tuple(int(column[i]) for column in columns)
+                by_print.setdefault(fingerprint, []).append(Interval(start, extent))
+    groups = [members for members in by_print.values() if len(members) > 1]
     screen_pairs: list[IntervalPair] = []
     exact_pairs: list[IntervalPair] = []
-    if counts.size and int(counts.max()) > 1:
-        order = np.argsort(inverse, kind="stable")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        starts = np.empty(count, dtype=np.int64)
-        for start in range(1, n + 1):
-            row0 = _start_offset(start, n)
-            starts[row0 : row0 + (n - start + 1)] = start
-        for g in np.flatnonzero(counts > 1):
-            rows = order[offsets[g] : offsets[g + 1]]
-            members = sorted(
-                Interval(int(starts[i]), int(i - _start_offset(int(starts[i]), n)))
-                for i in rows
-            )
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    screen_pairs.append(IntervalPair(members[i], members[j]))
-            for group in _exact_groups(members, config.exponent):
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        exact_pairs.append(IntervalPair(group[i], group[j]))
-    screen_pairs.sort(key=lambda q: (q.first.a, q.first.r, q.second.a, q.second.r))
-    exact_pairs.sort(key=lambda q: (q.first.a, q.first.r, q.second.a, q.second.r))
+    for members in groups:
+        screen_pairs += _pairs(members)
+        for group in _exact_groups(members, config.exponent):
+            exact_pairs += _pairs(group)
+    screen_pairs.sort(key=lambda q: (q.first, q.second))
+    exact_pairs.sort(key=lambda q: (q.first, q.second))
+    t_end = time.perf_counter()
 
     return CollisionReport(
         config=config,
@@ -210,7 +200,16 @@ def search(config: SearchConfig, threads: int | None = None) -> CollisionReport:
         interval_count=count,
         screen_collision_pairs=screen_pairs,
         exact_collision_pairs=exact_pairs,
-        wall_time=time.perf_counter() - t0,
+        wall_time=t_end - t0,
+        stats={
+            "fill_s": round(t_fill - t0, 6),
+            "sort_s": round(t_sort - t_fill, 6),
+            "confirm_s": round(t_end - t_sort, 6),
+            "duplicate_keys": int(duplicates.size),
+            "screen_groups": len(groups),
+            "largest_group": max(map(len, groups), default=0),
+            "exact_confirmations": sum(map(len, groups)),
+        },
     )
 
 
@@ -233,7 +232,5 @@ def detect_duplicates(intervals: list[Interval], config: SearchConfig) -> list[I
         if len(members) < 2:
             continue
         for group in _exact_groups(sorted(members), config.exponent):
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    confirmed.append(IntervalPair(group[i], group[j]))
+            confirmed += _pairs(group)
     return confirmed

@@ -201,6 +201,31 @@ def exact_collision_groups(n_max: int, exponent: int = 2) -> list[list[tuple[int
     return sorted(members for members in groups.values() if len(members) > 1)
 
 
+def screen_collision_pairs(
+    n_max: int, moduli: tuple[int, ...], exponent: int = 2
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Every pair of windows whose sums agree modulo every prime in `moduli`.
+
+    Each window's sum comes from the left fold `window_sum_direct` and is
+    reduced as numerator * denominator^-1 mod p: no prefix arrays, no
+    numpy.  Pairs are ((a, r), (a', r')) with (a, r) < (a', r'), sorted.
+    """
+    by_print: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for a in range(1, n_max + 1):
+        for r in range(n_max - a + 1):
+            value = window_sum_direct(a, r, exponent)
+            residues = tuple(
+                value.numerator * pow(value.denominator, -1, p) % p for p in moduli
+            )
+            by_print.setdefault(residues, []).append((a, r))
+    return sorted(
+        (members[i], members[j])
+        for members in by_print.values()
+        for i in range(len(members))
+        for j in range(i + 1, len(members))
+    )
+
+
 def decomposition_terms_reference(a1: int, r: int, a2: int, s: int) -> list[Fraction]:
     """Literal transcription of the six closed-form difference terms.
 

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
+import hypharm.search as search_module
 from hypharm.cli import main
-from hypharm.report import decode_fraction
+from hypharm.report import decode_fraction, results_bytes
+from hypharm.search import SearchConfig, select_moduli
 
 
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
@@ -33,6 +37,57 @@ def test_search_harmonic_exit_zero(tmp_path):
 
 def test_search_usage_error_exit_two(tmp_path, capsys):
     assert main(["search", "--max-n", "1"]) == 2
+
+
+def test_search_beyond_physical_memory_exits_two_before_any_work(monkeypatch, capsys):
+    # 5e13 windows would need 400 TB of residues; the guard must fire
+    # before the moduli, the prefix arrays or the key column exist
+    def unreachable(*args):
+        raise AssertionError("search started work past the memory guard")
+
+    monkeypatch.setattr(search_module, "select_moduli", unreachable)
+    monkeypatch.setattr(search_module, "prefix_residues", unreachable)
+    assert main(["search", "--max-n", "10000000"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
+    code, text = run_cli(["search", "--max-n", "120", "--seed", "5"], tmp_path)
+    assert code == 0
+    document = json.loads(text)
+    stats = document["manifest"]["stats"]
+    assert set(stats) == {
+        "fill_s", "sort_s", "confirm_s", "duplicate_keys",
+        "screen_groups", "largest_group", "exact_confirmations",
+    }
+    assert stats["screen_groups"] == stats["largest_group"] == stats["exact_confirmations"] == 0
+    config = SearchConfig(max_n=120, seed=5)
+    expected = [
+        {
+            "config": {"max_n": 120, "exponent": 2, "modulus_count": 3, "seed": 5},
+            "moduli": list(select_moduli(config)),
+            "interval_count": 120 * 121 // 2,
+            "screen_collision_pairs": [],
+            "exact_collision_pairs": [],
+        }
+    ]
+    assert results_bytes(document["results"]) == results_bytes(expected)
+
+    _, csv_text = run_cli(["search", "--max-n", "120"], tmp_path, name="out.csv", fmt="csv")
+    assert any(line.startswith("# stats={") for line in csv_text.splitlines())
+    _, search_text = run_cli(["search", "--max-n", "20"], tmp_path, name="s.txt", fmt="text")
+    assert "  stats: {" in search_text
+    _, verify_text = run_cli(
+        ["verify", "--lemma", "power-sums", "--r-max", "10"], tmp_path, name="v.txt", fmt="text"
+    )
+    assert "stats" not in verify_text
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    probe = "import sys, hypharm.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_lemma_exits_two():
@@ -169,10 +224,8 @@ def test_text_format_prints_outcome(tmp_path, capsys):
     assert "no exact collisions" in out
 
 
-def test_reruns_emit_identical_result_payloads(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPHARM_THREADS", "1")
+def test_reruns_emit_identical_result_payloads(tmp_path):
     _, first = run_cli(["search", "--max-n", "120", "--seed", "5"], tmp_path, name="a.json")
-    monkeypatch.setenv("HYPHARM_THREADS", "4")
     _, second = run_cli(["search", "--max-n", "120", "--seed", "5"], tmp_path, name="b.json")
     payload = lambda text: json.dumps(json.loads(text)["results"], sort_keys=True)
     assert payload(first) == payload(second)

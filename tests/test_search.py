@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import hypharm.search as search_module
 from hypharm.kernel import miller_rabin
 from hypharm.search import (
     SearchConfig,
@@ -87,14 +88,35 @@ def test_search_matches_exact_bruteforce_small():
         assert report.screen_collision_pairs == []
 
 
-def test_search_deterministic_across_worker_counts():
-    reference = search(SearchConfig(max_n=150, seed=0), threads=1)
-    for threads in (2, 5):
-        other = search(SearchConfig(max_n=150, seed=0), threads=threads)
+def test_search_deterministic_across_reruns():
+    reference = search(SearchConfig(max_n=150, seed=0))
+    for _ in range(2):
+        other = search(SearchConfig(max_n=150, seed=0))
         assert other.interval_count == reference.interval_count
         assert other.moduli == reference.moduli
         assert other.screen_collision_pairs == reference.screen_collision_pairs
         assert other.exact_collision_pairs == reference.exact_collision_pairs
+
+
+@pytest.mark.parametrize("exponent", [1, 2])
+@pytest.mark.parametrize("moduli", [(61,), (211, 223)], ids=["p61", "p211-p223"])
+def test_forced_small_moduli_screen_matches_oracle(monkeypatch, moduli, exponent):
+    # (61,): 1830 windows in 61 residue classes, so the pigeonhole principle
+    # forces screen groups.  (211, 223): many pairs agree mod 211 only, and
+    # the re-screen over every modulus must drop them.
+    monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
+    report = search(SearchConfig(max_n=60, exponent=exponent, modulus_count=len(moduli)))
+    screened = [
+        ((p.first.a, p.first.r), (p.second.a, p.second.r)) for p in report.screen_collision_pairs
+    ]
+    expected = oracles.screen_collision_pairs(60, moduli, exponent)
+    assert expected and screened == expected
+    assert report.exact_collision_pairs == []
+    if len(moduli) > 1:
+        assert len(oracles.screen_collision_pairs(60, moduli[:1], exponent)) > len(expected)
+    stats = report.stats
+    assert stats["screen_groups"] > 0 and stats["largest_group"] >= 2
+    assert stats["exact_confirmations"] == len({window for pair in expected for window in pair})
 
 
 def test_confirm_exact_examples():
