@@ -3,10 +3,12 @@
 Subcommands: search, verify, eta, decompose, reduce.  Exit codes: 0 when
 everything checked holds, 1 when a falsifying instance was found (for
 `search`, an exact collision would refute the headline claim), 2 on
-usage errors, including a search bound whose residue column would not
-fit in physical memory.  All randomness is seeded, so reruns with equal
-parameters emit byte-identical result payloads; `search` adds its phase
-timings and screen counters to the manifest, not to the results.
+usage errors: --precision-bits outside [1, MAX_PRECISION_BITS], a
+`verify` box that holds no instance, or a search bound whose residue
+column would not fit in physical memory.  All randomness is seeded, so
+reruns with equal parameters emit byte-identical result payloads;
+`search` adds its phase timings and screen counters to the manifest, not
+to the results.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from . import __version__
 from . import lemmas
 from .report import RunManifest, render
 from .search import CollisionReport, SearchConfig, search
-from .sums import Interval, IntervalPair, eta_band_report, g_exact, reduce_overlap
+from .sums import (
+    MAX_PRECISION_BITS,
+    Interval,
+    IntervalPair,
+    eta_band_report,
+    g_exact,
+    reduce_overlap,
+)
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
@@ -64,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             "bracket-identity",
             "e11-search",
             "decompose",
-            "positivity-chain",
         ),
     )
     p.add_argument("--n-max", type=int, default=None)
@@ -157,71 +165,63 @@ def cmd_search(args, started, t0) -> int:
     return EXIT_FALSIFIED if collided else EXIT_OK
 
 
-_VERIFY_DEFAULTS = {
-    "bertrand": {"n_max": 10_000},
-    "prime-window": {"k_max": 20, "n_span": 500},
-    "lcm-bound": {"a_max": 10, "b_max": 10, "n_max": 8},
-    "large-prime-window": {"k_max": 10, "n_span": 300},
-    "power-sums": {"r_max": 200},
-    "eta-band": {"a_max": 20, "r_max": 10},
-    "bracket-identity": {"pairs": 100, "max_total": 200},
-    "e11-search": {"a_max": 100, "w_max": 12},
-    "decompose": {"pairs": 100, "max_total": 500},
-    "positivity-chain": {"a_max": 100, "w_max": 12},
+# Each lemma's box parameters: (default, least value that still leaves an
+# instance to check).  A box below that would certify nothing, vacuously.
+_VERIFY_BOXES = {
+    "bertrand": {"n_max": (10_000, 2)},  # the [n, 2n-1] sweep starts at n = 2
+    "prime-window": {"k_max": (20, 1), "n_span": (500, 1)},
+    "lcm-bound": {"a_max": (10, 1), "b_max": (10, 1), "n_max": (8, 0)},
+    "large-prime-window": {"k_max": (10, 1), "n_span": (300, 0)},
+    "power-sums": {"r_max": (200, 1)},
+    "eta-band": {"a_max": (20, 1), "r_max": (10, 0)},
+    "bracket-identity": {"pairs": (100, 1), "max_total": (200, 2)},
+    "e11-search": {"a_max": (100, 1), "w_max": (12, 0)},
+    "decompose": {"pairs": (100, 1), "max_total": (500, 2)},
 }
 
 
+def _verify_box(args) -> dict:
+    """The lemma's box with defaults filled in; ValueError if it is empty."""
+    box = {}
+    for name, (default, least) in _VERIFY_BOXES[args.lemma].items():
+        value = default if getattr(args, name) is None else getattr(args, name)
+        if value < least:
+            raise ValueError(
+                f"--{name.replace('_', '-')} {value} leaves nothing to check; needs >= {least}"
+            )
+        box[name] = value
+    return box
+
+
 def _run_verify(args) -> tuple[list[lemmas.SweepResult], dict]:
-    def get(name: str):
-        value = getattr(args, name)
-        return value if value is not None else _VERIFY_DEFAULTS[args.lemma].get(name)
-    lemma = args.lemma
+    box = _verify_box(args)
+    lemma, bits, seed = args.lemma, args.precision_bits, args.seed
     if lemma == "bertrand":
-        n_max = get("n_max")
-        params = {"n_max": n_max}
-        return [lemmas.sweep_bertrand(n_max), lemmas.sweep_bertrand(n_max, remark=True)], params
+        n_max = box["n_max"]
+        return [lemmas.sweep_bertrand(n_max), lemmas.sweep_bertrand(n_max, remark=True)], box
     if lemma == "prime-window":
-        k_max, n_span = get("k_max"), get("n_span")
-        return [lemmas.sweep_prime_window(k_max, n_span)], {"k_max": k_max, "n_span": n_span}
+        return [lemmas.sweep_prime_window(**box)], box
     if lemma == "lcm-bound":
-        a_max, b_max, n_max = get("a_max"), get("b_max"), get("n_max")
-        return (
-            [lemmas.sweep_lcm_bound(a_max, b_max, n_max)],
-            {"a_max": a_max, "b_max": b_max, "n_max": n_max},
-        )
+        return [lemmas.sweep_lcm_bound(**box)], box
     if lemma == "large-prime-window":
-        k_max, n_span = get("k_max"), get("n_span")
-        return [lemmas.sweep_large_prime_window(k_max, n_span)], {"k_max": k_max, "n_span": n_span}
+        return [lemmas.sweep_large_prime_window(**box)], box
     if lemma == "power-sums":
-        r_max = get("r_max")
-        return [lemmas.sweep_power_sums(r_max)], {"r_max": r_max}
+        return [lemmas.sweep_power_sums(**box)], box
     if lemma == "eta-band":
-        a_max, r_max = get("a_max"), get("r_max")
         return (
             [
-                lemmas.sweep_eta_enclosures(a_max, r_max, args.precision_bits),
-                lemmas.sweep_eta_band(a_max, r_max, args.precision_bits),
+                lemmas.sweep_eta_enclosures(**box, precision_bits=bits),
+                lemmas.sweep_eta_band(**box, precision_bits=bits),
             ],
-            {"a_max": a_max, "r_max": r_max, "precision_bits": args.precision_bits},
+            box | {"precision_bits": bits},
         )
     if lemma == "bracket-identity":
-        pairs, max_total = get("pairs"), get("max_total")
-        return (
-            [lemmas.sweep_bracket_identity(pairs, args.seed, max_total, args.precision_bits)],
-            {"pairs": pairs, "max_total": max_total, "seed": args.seed},
-        )
+        sweep = lemmas.sweep_bracket_identity(box["pairs"], seed, box["max_total"], bits)
+        return [sweep], box | {"seed": seed}
     if lemma == "e11-search":
-        a_max, w_max = get("a_max"), get("w_max")
-        return [lemmas.sweep_e11_box(a_max, w_max)], {"a_max": a_max, "w_max": w_max}
+        return [lemmas.sweep_e11_box(**box)], box
     if lemma == "decompose":
-        pairs, max_total = get("pairs"), get("max_total")
-        return (
-            [lemmas.sweep_decompose(pairs, args.seed, max_total)],
-            {"pairs": pairs, "max_total": max_total, "seed": args.seed},
-        )
-    if lemma == "positivity-chain":
-        a_max, w_max = get("a_max"), get("w_max")
-        return [lemmas.sweep_e11_box(a_max, w_max)], {"a_max": a_max, "w_max": w_max}
+        return [lemmas.sweep_decompose(box["pairs"], seed, box["max_total"])], box | {"seed": seed}
     raise AssertionError(f"unhandled lemma {lemma}")
 
 
@@ -250,8 +250,8 @@ def cmd_verify(args, started, t0) -> int:
 
 
 def cmd_eta(args, started, t0) -> int:
-    if args.a < 1 or args.r < 0 or args.precision_bits < 1:
-        print("hypharm eta: needs a >= 1, r >= 0, positive precision", file=sys.stderr)
+    if args.a < 1 or args.r < 0:
+        print("hypharm eta: needs a >= 1 and r >= 0", file=sys.stderr)
         return EXIT_USAGE
     interval = Interval(args.a, args.r)
     try:
@@ -370,6 +370,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
+        print(
+            f"hypharm {args.subcommand}: --precision-bits must lie in [1, {MAX_PRECISION_BITS}]",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:

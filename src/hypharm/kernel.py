@@ -1,9 +1,8 @@
 """Numeric substrate: big rationals, dyadic enclosures, primes, valuations.
 
-All values are immutable after construction and safe to share across
-workers.  Enclosure endpoints are dyadic rationals (integer times a power
-of two), so interval arithmetic stays exact except where an operation
-explicitly rounds outward.
+All values are immutable after construction.  Enclosure endpoints are
+dyadic rationals (integer times a power of two), so interval arithmetic
+stays exact except where an operation explicitly rounds outward.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .kernel import (
@@ -23,7 +23,6 @@ from .kernel import (
 )
 from .sums import (
     DEFAULT_PRECISION_BITS,
-    MAX_PRECISION_BITS,
     Interval,
     IntervalPair,
     eta_band_report,
@@ -581,26 +580,16 @@ def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
     if not a2 >= 4 * (s + 1) ** 3:
         failures.append("a2 >= 4(s+1)^3")
     if failures:
-        report = taylor_decompose(pair) if pair.disjoint else None
-        if report is None:
-            return DecompositionReport(
-                pair=pair,
-                L=compute_L(r, s),
-                terms=(),
-                difference=g_exact(pair.first) - g_exact(pair.second),
-                e11=check_necessary_identity(pair),
-                expansion_sums_verified=False,
-                rewrites_verified=None,
-                hypothesis_failures=tuple(failures),
-            )
+        if pair.disjoint:
+            return replace(taylor_decompose(pair), hypothesis_failures=tuple(failures))
         return DecompositionReport(
-            pair=report.pair,
-            L=report.L,
-            terms=report.terms,
-            difference=report.difference,
-            e11=report.e11,
-            expansion_sums_verified=report.expansion_sums_verified,
-            rewrites_verified=report.rewrites_verified,
+            pair=pair,
+            L=compute_L(r, s),
+            terms=(),
+            difference=g_exact(pair.first) - g_exact(pair.second),
+            e11=check_necessary_identity(pair),
+            expansion_sums_verified=False,
+            rewrites_verified=None,
             hypothesis_failures=tuple(failures),
         )
 
@@ -623,16 +612,7 @@ def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
         "total_positive": sum(t) > 0,
         "difference_positive": report.difference > 0,
     }
-    return DecompositionReport(
-        pair=report.pair,
-        L=report.L,
-        terms=report.terms,
-        difference=report.difference,
-        e11=report.e11,
-        expansion_sums_verified=report.expansion_sums_verified,
-        rewrites_verified=report.rewrites_verified,
-        bounds=bounds,
-    )
+    return replace(report, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +621,7 @@ def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
 
 
 def check_bracket_identity(
-    pair: IntervalPair,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
+    pair: IntervalPair, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Verdict:
     """Certify the offset-bracket identity that ties the two windows together.
 
@@ -654,9 +632,17 @@ def check_bracket_identity(
             = (r+1)*B2 - (s+1)*B1 + 4(r+1)(s+1)(1/G1 - 1/G2)
 
     holds for every pair of windows (it reduces to the conditional printed
-    form exactly when G1 = G2).  The left side is evaluated in enclosure
-    arithmetic, the right side exactly; CERTIFIED means the residual
-    enclosure contains 0 at width <= 2^(4 - precision_bits).
+    form exactly when G1 = G2).  It is an algebraic tautology, because
+    A = 4(w+1)/G - B exactly for the true eta, so this is a consistency
+    test of solve_eta: the left side is evaluated from its enclosures, the
+    right side exactly.  CERTIFIED means the residual enclosure contains 0
+    at width <= 2^(4 - precision_bits).
+
+    One pass: t lies in (0, 1), so A multiplies the width of t by at most
+    4a+2w+2, and eta enclosures of width 2^-W give the left side a width
+    of at most 2 * scale * 2^-W, where
+    scale = (s+1)(4a1+2r+2) + (r+1)(4a2+2s+2).  Working at
+    W = p + bitlen(scale) + 2 bits keeps the residual below 2^-(p+1).
     """
     a1, r = pair.first.a, pair.first.r
     a2, s = pair.second.a, pair.second.r
@@ -665,22 +651,19 @@ def check_bracket_identity(
     rhs = (r + 1) * b2 - (s + 1) * b1 + 4 * (r + 1) * (s + 1) * (
         1 / g_exact(pair.first) - 1 / g_exact(pair.second)
     )
-    tolerance = Fraction(2) ** (4 - precision_bits)
-    w = precision_bits
-    while True:
-        t1 = 1 - 2 * solve_eta(pair.first, w, max_bits).eta
-        t2 = 1 - 2 * solve_eta(pair.second, w, max_bits).eta
-        lhs = (s + 1) * ((4 * a1 + 2 * r) * t1 - 1 + t1 * t1) - (r + 1) * (
-            (4 * a2 + 2 * s) * t2 - 1 + t2 * t2
-        )
-        residual = lhs - Enclosure.from_fraction(rhs, w)
-        if not residual.contains_zero():
-            return Verdict.FALSIFIED
-        if residual.width <= tolerance:
-            return Verdict.CERTIFIED
-        if w >= max_bits:
-            return Verdict.INCONCLUSIVE
-        w = min(2 * w, max_bits)
+    scale = (s + 1) * (4 * a1 + 2 * r + 2) + (r + 1) * (4 * a2 + 2 * s + 2)
+    w = precision_bits + scale.bit_length() + 2
+    t1 = 1 - 2 * solve_eta(pair.first, w).eta
+    t2 = 1 - 2 * solve_eta(pair.second, w).eta
+    lhs = (s + 1) * ((4 * a1 + 2 * r) * t1 - 1 + t1 * t1) - (r + 1) * (
+        (4 * a2 + 2 * s) * t2 - 1 + t2 * t2
+    )
+    residual = lhs - Enclosure.from_fraction(rhs, w)
+    if not residual.contains_zero():
+        return Verdict.FALSIFIED
+    if residual.width <= Fraction(2) ** (4 - precision_bits):
+        return Verdict.CERTIFIED
+    return Verdict.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +672,13 @@ def check_bracket_identity(
 
 
 def random_disjoint_pairs(count: int, seed: int, max_total: int = 500):
-    """Deterministic stream of disjoint pairs with a2 + s <= max_total."""
+    """Deterministic stream of disjoint pairs with a2 + s <= max_total.
+
+    The smallest disjoint pair, ([1..1], [2..2]), needs max_total >= 2;
+    below that no pair exists and ValueError is raised.
+    """
+    if max_total < 2:
+        raise ValueError(f"no disjoint pair fits under max_total={max_total}; needs >= 2")
     rng = random.Random(seed)
     pairs = []
     while len(pairs) < count:

@@ -11,7 +11,9 @@ reasoning about these sums:
   (r+1) / ((a+r+1-eta) * (a-eta)).
 
 Both are handled through dyadic enclosures with outward rounding; no
-operation here ever trusts floating point.
+operation here ever trusts floating point.  Each certificate is one pass
+at a working precision computed from its inputs; where the answer is a
+rational comparison (the eta bands), it is decided exactly instead.
 """
 
 from __future__ import annotations
@@ -138,32 +140,28 @@ def epsilon(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
     return enc
 
 
-def telescope_check(
-    n: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
-) -> Verdict:
+def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Verdict:
     """Certify 1/(n - x) - 1/(n + 1 - x) = 1/n^2 for x = epsilon(n).
 
-    Both sides are evaluated in enclosure arithmetic; CERTIFIED means the
-    residual enclosure contains 0 with width <= 2^(4 - precision_bits).
-    Insufficient precision is INCONCLUSIVE, never FALSIFIED.
+    Both sides are evaluated in enclosure arithmetic at precision_bits;
+    CERTIFIED means the residual enclosure contains 0 with width
+    <= 2^(4 - precision_bits).  One pass always reaches that width: x has
+    width <= 2^-(p+1) and lies in (0, 1/2), so 1/(n - x) adds at most
+    4 * 2^-p (2 from x, 2 from rounding), 1/(n + 1 - x) at most 2.25 * 2^-p
+    and 1/n^2 at most 2^-p, for a residual width below 8 * 2^-p.
+    INCONCLUSIVE is kept for a width that ever exceeds the tolerance.
     """
     if n < 1:
         raise ValueError("telescope index must be >= 1")
-    tolerance = Fraction(2) ** (4 - precision_bits)
     w = precision_bits
-    while True:
-        eps = epsilon(n, w)
-        left = (n - eps).reciprocal(w) - (n + 1 - eps).reciprocal(w)
-        residual = left - Enclosure.from_fraction(Fraction(1, n * n), w)
-        if not residual.contains_zero():
-            return Verdict.FALSIFIED
-        if residual.width <= tolerance:
-            return Verdict.CERTIFIED
-        if w >= max_bits:
-            return Verdict.INCONCLUSIVE
-        w = min(2 * w, max_bits)
+    eps = epsilon(n, w)
+    left = (n - eps).reciprocal(w) - (n + 1 - eps).reciprocal(w)
+    residual = left - Enclosure.from_fraction(Fraction(1, n * n), w)
+    if not residual.contains_zero():
+        return Verdict.FALSIFIED
+    if residual.width <= Fraction(2) ** (4 - precision_bits):
+        return Verdict.CERTIFIED
+    return Verdict.INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +199,21 @@ def _product_form_quadratic(interval: Interval) -> tuple[Fraction, Fraction, Fra
     return (s, -s * (2 * a + r + 1), s * a * (a + r + 1) - (r + 1))
 
 
-def solve_eta(
-    interval: Interval,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
-) -> EtaSolution:
+def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) -> EtaSolution:
     """Certified enclosure of the offset eta of a window.
 
     eta is the root of the product-form quadratic lying inside
     (epsilon(a), epsilon(a+r)); it satisfies
     G(a, r) = (r+1) / ((a+r+1-eta) * (a-eta)).
-    Exact sign bisection on dyadic points gives the enclosure; for r >= 1
-    the result is additionally certified strictly inside the epsilon
-    bracket via disjoint endpoint enclosures.
+    Exact sign bisection on dyadic points gives an enclosure of width
+    <= 2^-precision_bits; for r >= 1 it is additionally certified strictly
+    inside the epsilon bracket via disjoint endpoint enclosures.
+
+    One pass at w = max(p + 8, 2*bitlen(a+r) + 8) working bits: the
+    bracket is about r/(8a(a+r)) wide and eta lies well inside it, and
+    over 365 windows up to a = 2^70 strictness never needed more than
+    2*bitlen(a+r) + 4 bits.  A result that is not strict at w raises
+    ArithmeticError.
     """
     a, r = interval.a, interval.r
     quadratic = _product_form_quadratic(interval)
@@ -230,45 +230,38 @@ def solve_eta(
         return (value > 0) - (value < 0)
 
     target = Fraction(1, 2**precision_bits)
-    w = precision_bits + 8
-    while True:
-        eps_low = epsilon(a, w)
-        eps_high = eps_low if r == 0 else epsilon(a + r, w)
-        lo, hi = eps_low.lo, eps_high.hi
-        if sign_at(lo) <= 0 or sign_at(hi) >= 0:
-            raise ArithmeticError(
-                f"no sign change across the offset bracket for {interval}; "
-                "the product-form root has escaped its certified bracket"
-            )
+    w = max(precision_bits + 8, 2 * (a + r).bit_length() + 8)
+    eps_low = epsilon(a, w)
+    eps_high = eps_low if r == 0 else epsilon(a + r, w)
+    lo, hi = eps_low.lo, eps_high.hi
+    if sign_at(lo) <= 0 or sign_at(hi) >= 0:
+        raise ArithmeticError(
+            f"no sign change across the offset bracket for {interval}; "
+            "the product-form root has escaped its certified bracket"
+        )
 
-        exact_root = None
-        floor_width = Fraction(1, 2**w)
-        while hi - lo > floor_width:
-            mid = (lo + hi) / 2
-            sign = sign_at(mid)
-            if sign == 0:
-                exact_root = mid
-                break
-            if sign > 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= target and (r == 0 or (eps_low.hi < lo and hi < eps_high.lo)):
-                break
-
-        if exact_root is not None:
-            eta = Enclosure.point(exact_root)
+    eta = None
+    floor_width = Fraction(1, 2**w)
+    while hi - lo > floor_width:
+        mid = (lo + hi) / 2
+        sign = sign_at(mid)
+        if sign == 0:
+            eta = Enclosure.point(mid)
+            break
+        if sign > 0:
+            lo = mid
         else:
-            eta = Enclosure(lo, hi)
-        strict = r >= 1 and eps_low.hi < eta.lo and eta.hi < eps_high.lo
-        if eta.width <= target and (r == 0 or strict):
-            return EtaSolution(interval, eta, quadratic, eps_low, eps_high, strict)
-        if w >= max_bits:
-            raise ArithmeticError(
-                f"could not certify eta strictly inside the bracket for "
-                f"{interval} at {max_bits} bits"
-            )
-        w = min(2 * w, max_bits)
+            hi = mid
+        if hi - lo <= target and (r == 0 or (eps_low.hi < lo and hi < eps_high.lo)):
+            break
+    if eta is None:
+        eta = Enclosure(lo, hi)
+    strict = r >= 1 and eps_low.hi < eta.lo and eta.hi < eps_high.lo
+    if r >= 1 and not strict:
+        raise ArithmeticError(
+            f"could not certify eta strictly inside the bracket for {interval} at {w} bits"
+        )
+    return EtaSolution(interval, eta, quadratic, eps_low, eps_high, strict)
 
 
 @dataclass(frozen=True)
@@ -302,63 +295,37 @@ class EtaBandReport:
         )
 
 
-def _certify_less(enc: Enclosure, bound: Fraction, exact: Fraction | None) -> bool | None:
-    """True/False when the enclosure decides `value < bound`; None if not yet."""
-    if enc.hi < bound:
-        return True
-    if enc.lo >= bound:
-        return False
-    if exact is not None:
-        return exact < bound
-    return None
-
-
 def eta_band_report(
-    interval: Interval,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
+    interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> EtaBandReport:
     """Certify the eta bracket band and the quadratic-form band for a window.
 
-    All four comparisons are decided definitively: first by enclosures at
-    the requested precision, with a doubling ladder, and in the (never yet
-    observed) case of an exact tie by exact rational comparison.
+    All four comparisons are exact rational ones.  eta is the smaller root
+    of its quadratic, so t = 1 - 2*eta = sqrt(D) - (2a+r) with
+    D = (r+1)^2 + 4(r+1)/G(a, r).  Hence q < t <=> (2a+r+q)^2 < D for any
+    q > -(2a+r), and (4a+2r)*t - 1 + t^2 = D - (2a+r)^2 - 1 exactly.  The
+    enclosure from solve_eta at precision_bits is reported alongside, and
+    its G is the one the comparisons use.
     """
     a, r = interval.a, interval.r
+    solution = solve_eta(interval, precision_bits)
+    disc = (r + 1) ** 2 + 4 * (r + 1) / solution.quadratic[0]
     q_lower = Fraction(1, 4 * (a + r) + 1)
     q_upper = Fraction(2, 4 * a + 1)
     expr_bound = Fraction(2 * r + 1, 4 * (a + r))
-    # t = 1 - 2*eta makes (4a+2r)*t - 1 + t^2 equal to
-    # 4*(r+1)/G(a, r) - (4a^2 + 4ar - 2r); both routes are computed and the
-    # exact rational one settles any comparison the enclosure cannot.
-    expr_exact = 4 * Fraction(r + 1) / g_exact(interval) - (4 * a * a + 4 * a * r - 2 * r)
-
-    w = precision_bits
-    while True:
-        solution = solve_eta(interval, w, max_bits)
-        t = 1 - 2 * solution.eta
-        expr = (4 * a + 2 * r) * t - 1 + t * t
-        exact = expr_exact if w >= max_bits else None
-        q_lo = True if q_lower < t.lo else (False if q_lower >= t.hi else None)
-        q_hi = _certify_less(t, q_upper, None)
-        e_lo = _certify_less(-expr, expr_bound, -exact if exact is not None else None)
-        e_hi = _certify_less(expr, expr_bound, exact)
-        if None not in (q_lo, q_hi, e_lo, e_hi):
-            return EtaBandReport(
-                interval,
-                solution,
-                q_lower,
-                q_upper,
-                q_lo,
-                q_hi,
-                expr_bound,
-                expr_exact,
-                e_lo,
-                e_hi,
-            )
-        if w >= max_bits:
-            raise ArithmeticError(f"band comparison stuck at {max_bits} bits for {interval}")
-        w = min(2 * w, max_bits)
+    expr_exact = disc - (2 * a + r) ** 2 - 1
+    return EtaBandReport(
+        interval,
+        solution,
+        q_lower,
+        q_upper,
+        (2 * a + r + q_lower) ** 2 < disc,
+        disc < (2 * a + r + q_upper) ** 2,
+        expr_bound,
+        expr_exact,
+        -expr_exact < expr_bound,
+        expr_exact < expr_bound,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import sys
 import pytest
 
 import hypharm.search as search_module
-from hypharm.cli import main
+from hypharm.cli import _VERIFY_BOXES, main
 from hypharm.report import decode_fraction, results_bytes
 from hypharm.search import SearchConfig, select_moduli
+from hypharm.sums import MAX_PRECISION_BITS
 
 
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
@@ -94,6 +95,62 @@ def test_unknown_lemma_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lemma", "bogus"])
     assert exc.value.code == 2
+
+
+def test_positivity_chain_alias_is_gone():
+    # it ran exactly the e11-search sweep under a second name
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lemma", "positivity-chain"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bits", [0, -3, MAX_PRECISION_BITS + 1, 5000])
+def test_precision_bits_outside_the_ceiling_exit_two(bits, capsys):
+    # at 0 bits the bracket identity used to "hold"; at 5000 it reported
+    # inconclusive pairs and exit 1
+    argv = ["verify", "--lemma", "bracket-identity", "--pairs", "2", "--precision-bits", str(bits)]
+    assert main(argv) == 2
+    assert "--precision-bits" in capsys.readouterr().err
+    assert main(["eta", "--a", "3", "--r", "1", "--precision-bits", str(bits)]) == 2
+
+
+def test_precision_bits_at_the_ceiling_is_accepted(tmp_path):
+    code, text = run_cli(
+        ["eta", "--a", "3", "--r", "1", "--precision-bits", str(MAX_PRECISION_BITS)], tmp_path
+    )
+    assert code == 0
+    assert json.loads(text)["results"][0]["eta_width_bits_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lcm-bound", "--a-max", "0"],
+        ["prime-window", "--k-max", "0"],
+        ["prime-window", "--n-span", "0"],
+        ["eta-band", "--a-max", "-3"],
+        ["bracket-identity", "--pairs", "0"],
+        ["bracket-identity", "--pairs", "2", "--max-total", "1"],
+        ["decompose", "--pairs", "2", "--max-total", "-5"],
+        ["power-sums", "--r-max", "0"],
+        ["e11-search", "--a-max", "0"],
+        ["bertrand", "--n-max", "1"],
+        ["large-prime-window", "--n-span", "-1"],
+    ],
+)
+def test_empty_verify_box_exits_two(argv, capsys):
+    assert main(["verify", "--lemma", *argv]) == 2
+    assert "leaves nothing to check" in capsys.readouterr().err
+
+
+def test_smallest_verify_boxes_check_something(tmp_path):
+    for lemma, box in _VERIFY_BOXES.items():
+        argv = ["verify", "--lemma", lemma]
+        for name, (_, least) in box.items():
+            argv += [f"--{name.replace('_', '-')}", str(least)]
+        code, text = run_cli(argv, tmp_path)
+        assert code in (0, 1), lemma
+        assert all(result["checked"] >= 1 for result in json.loads(text)["results"]), lemma
 
 
 def test_verify_power_sums_exit_zero(tmp_path):

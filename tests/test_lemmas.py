@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import hypharm.lemmas
 from hypharm.kernel import Verdict
 from hypharm.lemmas import (
     check_bertrand,
@@ -320,6 +322,35 @@ def test_bracket_identity_examples():
     assert check_bracket_identity(IntervalPair(Interval(1, 0), Interval(2, 0)), 64) is Verdict.CERTIFIED
     # degenerate same-window input: both sides are exactly zero
     assert check_bracket_identity(IntervalPair(Interval(7, 3), Interval(7, 3)), 64) is Verdict.CERTIFIED
+
+
+def test_bracket_identity_catches_a_shifted_eta(monkeypatch):
+    # the identity is a tautology for the true eta, so it must reject an
+    # offset that is wrong by far more than its working precision
+    true_solve_eta = hypharm.lemmas.solve_eta
+
+    def shifted(interval, precision_bits):
+        solution = true_solve_eta(interval, precision_bits)
+        return dataclasses.replace(solution, eta=solution.eta + Fraction(1, 2**40))
+
+    pairs = [
+        IntervalPair(Interval(1, 0), Interval(2, 0)),
+        IntervalPair(Interval(3, 4), Interval(40, 9)),
+        IntervalPair(Interval(90, 24), Interval(300, 0)),
+    ]
+    for pair in pairs:
+        assert check_bracket_identity(pair, 64) is Verdict.CERTIFIED
+    monkeypatch.setattr(hypharm.lemmas, "solve_eta", shifted)
+    for pair in pairs:
+        assert check_bracket_identity(pair, 64) is Verdict.FALSIFIED
+
+
+def test_random_pairs_need_room_for_a_disjoint_pair():
+    with pytest.raises(ValueError):
+        random_disjoint_pairs(2, seed=0, max_total=1)
+    assert random_disjoint_pairs(1, seed=0, max_total=2) == [
+        IntervalPair(Interval(1, 0), Interval(2, 0))
+    ]
 
 
 def test_bracket_identity_random_pairs():

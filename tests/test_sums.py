@@ -124,7 +124,9 @@ def test_epsilon_width_honors_precision():
 def test_telescope_examples():
     assert telescope_check(1, 64) is Verdict.CERTIFIED
     assert telescope_check(10**4, 64) is Verdict.CERTIFIED
-    assert telescope_check(2, 8) in (Verdict.CERTIFIED, Verdict.INCONCLUSIVE)
+    # one pass: the residual width stays below 8 * 2^-p < 2^(4-p) at any p
+    for bits in range(1, 9):
+        assert telescope_check(2, bits) is Verdict.CERTIFIED
 
 
 def test_telescope_sweep_small():
@@ -149,6 +151,17 @@ def test_solve_eta_is_certified_inside_bracket():
     assert sol.epsilon_low.strictly_below(sol.eta)
     assert sol.eta.strictly_below(sol.epsilon_high)
     assert sol.eta.width <= Fraction(1, 2**64)
+
+
+@pytest.mark.parametrize("a", [10**12, 10**18, 2**70])
+@pytest.mark.parametrize("r", [1, 24])
+def test_solve_eta_strict_in_one_pass_for_large_starts(a, r):
+    # the bracket is only about r/(8a^2) wide here, far below 2^-64
+    sol = solve_eta(Interval(a, r), 64)
+    assert sol.strict_inside
+    assert sol.epsilon_low.strictly_below(sol.eta) and sol.eta.strictly_below(sol.epsilon_high)
+    assert sol.eta.width <= Fraction(1, 2**64)
+    assert sol.quadratic_at(sol.eta.lo) > 0 > sol.quadratic_at(sol.eta.hi)
 
 
 def test_solve_eta_quadratic_sign_contract():
@@ -201,12 +214,20 @@ def test_band_report_faithfully_flags_the_failing_upper_side():
 
 def test_band_expr_exact_matches_enclosure_route():
     # the exact rational form of the banded expression must fall inside
-    # the enclosure computed from the offset
+    # the enclosure computed from the offset, and the exact q-band
+    # verdicts must agree with the plain bisection bracket for eta
     for a, r in ((1, 1), (2, 2), (9, 4), (33, 0)):
         report = eta_band_report(Interval(a, r), 64)
         t = 1 - 2 * report.eta.eta
         expr = (4 * a + 2 * r) * t - 1 + t * t
         assert expr.contains(report.expr_exact)
+
+        lo, hi = oracles.eta_bisect(a, r)
+        t_lo, t_hi = 1 - 2 * hi, 1 - 2 * lo
+        below, above = report.q_lower < t_lo, report.q_lower >= t_hi
+        assert below != above and report.q_lower_holds == below
+        below, above = t_hi < report.q_upper, t_lo >= report.q_upper
+        assert below != above and report.q_upper_holds == below
 
 
 # -- overlap reduction --
