@@ -180,8 +180,15 @@ _VERIFY_BOXES = {
 }
 
 
+_BOX_FLAGS = sorted({name for box in _VERIFY_BOXES.values() for name in box})
+
+
 def _verify_box(args) -> dict:
-    """The lemma's box with defaults filled in; ValueError if it is empty."""
+    """The lemma's box with defaults filled in; ValueError if it is empty
+    or if a box flag was given that the lemma does not read."""
+    for name in _BOX_FLAGS:
+        if name not in _VERIFY_BOXES[args.lemma] and getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --lemma {args.lemma}")
     box = {}
     for name, (default, least) in _VERIFY_BOXES[args.lemma].items():
         value = default if getattr(args, name) is None else getattr(args, name)

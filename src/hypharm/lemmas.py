@@ -635,8 +635,11 @@ def check_bracket_identity(
     form exactly when G1 = G2).  It is an algebraic tautology, because
     A = 4(w+1)/G - B exactly for the true eta, so this is a consistency
     test of solve_eta: the left side is evaluated from its enclosures, the
-    right side exactly.  CERTIFIED means the residual enclosure contains 0
-    at width <= 2^(4 - precision_bits).
+    right side exactly.  solve_eta takes eta in closed form from the same
+    D = (w+1)^2 + 4(w+1)/G, so this re-checks that closed form end to end;
+    the independent check of eta is plain bisection in the test oracles.
+    CERTIFIED means the residual enclosure contains 0 at width
+    <= 2^(4 - precision_bits).
 
     One pass: t lies in (0, 1), so A multiplies the width of t by at most
     4a+2w+2, and eta enclosures of width 2^-W give the left side a width
@@ -674,22 +677,20 @@ def check_bracket_identity(
 def random_disjoint_pairs(count: int, seed: int, max_total: int = 500):
     """Deterministic stream of disjoint pairs with a2 + s <= max_total.
 
-    The smallest disjoint pair, ([1..1], [2..2]), needs max_total >= 2;
-    below that no pair exists and ValueError is raised.
+    Each pair costs four draws, r <= 24, s <= 24, a1 <= 100 and then a2,
+    each capped so that a disjoint pair still fits; for max_total >= 149
+    no cap binds.  The smallest disjoint pair, ([1..1], [2..2]), needs
+    max_total >= 2; below that no pair exists and ValueError is raised.
     """
     if max_total < 2:
         raise ValueError(f"no disjoint pair fits under max_total={max_total}; needs >= 2")
     rng = random.Random(seed)
     pairs = []
-    while len(pairs) < count:
-        r = rng.randint(0, 24)
-        s = rng.randint(0, 24)
-        a1 = rng.randint(1, 100)
-        low = a1 + r + 1
-        high = max_total - s
-        if low > high:
-            continue
-        a2 = rng.randint(low, high)
+    for _ in range(count):
+        r = rng.randint(0, min(24, max_total - 2))
+        s = rng.randint(0, min(24, max_total - 2 - r))
+        a1 = rng.randint(1, min(100, max_total - r - s - 1))
+        a2 = rng.randint(a1 + r + 1, max_total - s)
         pairs.append(IntervalPair(Interval(a1, r), Interval(a2, s)))
     return pairs
 

@@ -103,15 +103,6 @@ def prefix_residues(n_max: int, p: int, exponent: int) -> list[int]:
     return prefix
 
 
-def interval_fingerprint(
-    interval: Interval, moduli: tuple[int, ...], prefixes: list[list[int]]
-) -> Fingerprint:
-    return tuple(
-        (prefix[interval.end] - prefix[interval.a - 1]) % p
-        for p, prefix in zip(moduli, prefixes)
-    )
-
-
 def confirm_exact(pair: IntervalPair, exponent: int = 2) -> bool:
     """Exact rational equality of the two window sums."""
     return window_power_sum(pair.first, exponent) == window_power_sum(pair.second, exponent)
@@ -140,6 +131,9 @@ def search(config: SearchConfig) -> CollisionReport:
     Each window is enumerated once, so self-pairs never arise, and pairs
     are reported in sorted window order, so output is deterministic.
     """
+    # The search uses no BLAS; this keeps OpenBLAS from starting idle
+    # worker threads that burn CPU while numpy loads.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     t0 = time.perf_counter()
@@ -211,26 +205,3 @@ def search(config: SearchConfig) -> CollisionReport:
             "exact_confirmations": sum(map(len, groups)),
         },
     )
-
-
-def detect_duplicates(intervals: list[Interval], config: SearchConfig) -> list[IntervalPair]:
-    """Screen-and-confirm an explicit window list (soundness harness).
-
-    Unlike `search`, the input may contain repeated windows; any two
-    entries with equal exact sums (including duplicates) come back as a
-    confirmed collision pair.
-    """
-    moduli = select_moduli(config)
-    prefixes = [prefix_residues(config.max_n, p, config.exponent) for p in moduli]
-    by_print: dict[Fingerprint, list[Interval]] = {}
-    for interval in intervals:
-        if interval.end > config.max_n:
-            raise ValueError(f"{interval} exceeds the configured bound")
-        by_print.setdefault(interval_fingerprint(interval, moduli, prefixes), []).append(interval)
-    confirmed = []
-    for members in by_print.values():
-        if len(members) < 2:
-            continue
-        for group in _exact_groups(sorted(members), config.exponent):
-            confirmed += _pairs(group)
-    return confirmed

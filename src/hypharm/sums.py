@@ -10,10 +10,12 @@ reasoning about these sums:
   whole window sum collapses to the product form
   (r+1) / ((a+r+1-eta) * (a-eta)).
 
-Both are handled through dyadic enclosures with outward rounding; no
-operation here ever trusts floating point.  Each certificate is one pass
-at a working precision computed from its inputs; where the answer is a
-rational comparison (the eta bands), it is decided exactly instead.
+Both are roots of quadratics with exact rational coefficients, so each is
+enclosed by one outward-rounded square root at a working precision
+computed from its inputs; no operation here ever trusts floating point.
+eta's enclosure is certified by the quadratic's exact signs at its ends,
+and where the answer is a rational comparison (the eta bands), it is
+decided exactly instead.
 """
 
 from __future__ import annotations
@@ -174,9 +176,10 @@ class EtaSolution:
     """Certified root of the product-form quadratic for one window.
 
     ``quadratic`` holds the exact coefficients (c2, c1, c0) of
-    c2*x^2 + c1*x + c0, whose root inside the epsilon bracket is eta.
-    The enclosure endpoints are dyadic points at which the quadratic was
-    evaluated exactly with opposite signs (or a degenerate exact root).
+    c2*x^2 + c1*x + c0, whose smaller root, inside the epsilon bracket, is
+    eta.  The enclosure comes from the closed form; its endpoints are
+    dyadic points at which the quadratic was evaluated exactly with
+    opposite signs (or a degenerate point where it vanishes).
     """
 
     interval: Interval
@@ -199,21 +202,30 @@ def _product_form_quadratic(interval: Interval) -> tuple[Fraction, Fraction, Fra
     return (s, -s * (2 * a + r + 1), s * a * (a + r + 1) - (r + 1))
 
 
+def _discriminant(interval: Interval, g: Fraction) -> Fraction:
+    # D = (r+1)^2 + 4(r+1)/G: the product-form quadratic's discriminant
+    # divided by G^2, so its roots are (2a+r+1 -+ sqrt(D)) / 2.
+    n = interval.r + 1
+    return n * n + 4 * n / g
+
+
 def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) -> EtaSolution:
     """Certified enclosure of the offset eta of a window.
 
     eta is the root of the product-form quadratic lying inside
     (epsilon(a), epsilon(a+r)); it satisfies
-    G(a, r) = (r+1) / ((a+r+1-eta) * (a-eta)).
-    Exact sign bisection on dyadic points gives an enclosure of width
-    <= 2^-precision_bits; for r >= 1 it is additionally certified strictly
-    inside the epsilon bracket via disjoint endpoint enclosures.
+    G(a, r) = (r+1) / ((a+r+1-eta) * (a-eta)).  It is the smaller root,
+    eta = (2a+r+1 - sqrt(D)) / 2 with D = (r+1)^2 + 4(r+1)/G(a, r), so one
+    outward-rounded square root at w + 1 bits gives an enclosure of width
+    <= 2^-(w+2), with w = max(p + 8, 2*bitlen(a+r) + 8).
 
-    One pass at w = max(p + 8, 2*bitlen(a+r) + 8) working bits: the
-    bracket is about r/(8a(a+r)) wide and eta lies well inside it, and
-    over 365 windows up to a = 2^70 strictness never needed more than
-    2*bitlen(a+r) + 4 bits.  A result that is not strict at w raises
-    ArithmeticError.
+    The enclosure is certified without trusting the square root: the
+    quadratic, evaluated exactly, is positive at its lower end and
+    negative at its upper end (zero at both for a degenerate point).  For
+    r >= 1 it is also certified strictly inside the epsilon bracket via
+    disjoint endpoint enclosures at w bits; the bracket is about
+    r/(8a(a+r)) wide and eta lies well inside it.  A failure of either
+    check raises ArithmeticError.
     """
     a, r = interval.a, interval.r
     quadratic = _product_form_quadratic(interval)
@@ -229,33 +241,15 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
         value = ai * num * num + bi * num * den + ci * den * den
         return (value > 0) - (value < 0)
 
-    target = Fraction(1, 2**precision_bits)
     w = max(precision_bits + 8, 2 * (a + r).bit_length() + 8)
+    root = sqrt_enclosure(_discriminant(interval, s), w + 1)
+    eta = Enclosure((2 * a + r + 1 - root.hi) / 2, (2 * a + r + 1 - root.lo) / 2)
+    if (sign_at(eta.lo), sign_at(eta.hi)) != ((1, -1) if eta.width else (0, 0)):
+        raise ArithmeticError(
+            f"the product-form quadratic does not change sign across {eta} for {interval}"
+        )
     eps_low = epsilon(a, w)
     eps_high = eps_low if r == 0 else epsilon(a + r, w)
-    lo, hi = eps_low.lo, eps_high.hi
-    if sign_at(lo) <= 0 or sign_at(hi) >= 0:
-        raise ArithmeticError(
-            f"no sign change across the offset bracket for {interval}; "
-            "the product-form root has escaped its certified bracket"
-        )
-
-    eta = None
-    floor_width = Fraction(1, 2**w)
-    while hi - lo > floor_width:
-        mid = (lo + hi) / 2
-        sign = sign_at(mid)
-        if sign == 0:
-            eta = Enclosure.point(mid)
-            break
-        if sign > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= target and (r == 0 or (eps_low.hi < lo and hi < eps_high.lo)):
-            break
-    if eta is None:
-        eta = Enclosure(lo, hi)
     strict = r >= 1 and eps_low.hi < eta.lo and eta.hi < eps_high.lo
     if r >= 1 and not strict:
         raise ArithmeticError(
@@ -309,7 +303,7 @@ def eta_band_report(
     """
     a, r = interval.a, interval.r
     solution = solve_eta(interval, precision_bits)
-    disc = (r + 1) ** 2 + 4 * (r + 1) / solution.quadratic[0]
+    disc = _discriminant(interval, solution.quadratic[0])
     q_lower = Fraction(1, 4 * (a + r) + 1)
     q_upper = Fraction(2, 4 * a + 1)
     expr_bound = Fraction(2 * r + 1, 4 * (a + r))

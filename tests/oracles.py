@@ -9,6 +9,7 @@ implementation against itself.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,26 @@ def eta_bisect(a: int, r: int, iterations: int = 90) -> tuple[Fraction, Fraction
         else:
             hi = mid
     return lo, hi
+
+
+def disjoint_pairs_by_rejection(count: int, seed: int, max_total: int) -> list[tuple]:
+    """(a1, r, a2, s) drawn from r, s <= 24, a1 <= 100, redrawn until they fit.
+
+    The rejection loop that once generated the library's seeded pair
+    stream; it loops forever below max_total = 2.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        r = rng.randint(0, 24)
+        s = rng.randint(0, 24)
+        a1 = rng.randint(1, 100)
+        low = a1 + r + 1
+        high = max_total - s
+        if low > high:
+            continue
+        pairs.append((a1, r, rng.randint(low, high), s))
+    return pairs
 
 
 def direct_half_power_sum(r: int, exponent: int) -> int:

@@ -143,9 +143,26 @@ def test_empty_verify_box_exits_two(argv, capsys):
     assert "leaves nothing to check" in capsys.readouterr().err
 
 
-def test_smallest_verify_boxes_check_something(tmp_path):
+BOX_FLAGS = ("n-max", "k-max", "n-span", "a-max", "b-max", "r-max", "w-max", "pairs", "max-total")
+
+
+def test_box_flags_a_lemma_ignores_exit_two(capsys):
+    # e.g. `--lemma bertrand --k-max 5` used to run bertrand and drop --k-max
+    assert {flag.replace("-", "_") for flag in BOX_FLAGS} == {
+        name for box in _VERIFY_BOXES.values() for name in box
+    }
     for lemma, box in _VERIFY_BOXES.items():
-        argv = ["verify", "--lemma", lemma]
+        for flag in BOX_FLAGS:
+            if flag.replace("-", "_") in box:
+                continue
+            assert main(["verify", "--lemma", lemma, f"--{flag}", "5"]) == 2, (lemma, flag)
+            assert f"--{flag} does not apply to --lemma {lemma}" in capsys.readouterr().err
+
+
+def test_smallest_verify_boxes_check_something(tmp_path):
+    # the common flags are accepted by every lemma, whether it reads them or not
+    for lemma, box in _VERIFY_BOXES.items():
+        argv = ["verify", "--lemma", lemma, "--seed", "3", "--precision-bits", "48"]
         for name, (_, least) in box.items():
             argv += [f"--{name.replace('_', '-')}", str(least)]
         code, text = run_cli(argv, tmp_path)

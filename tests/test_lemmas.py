@@ -1,5 +1,7 @@
 import dataclasses
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -351,6 +353,33 @@ def test_random_pairs_need_room_for_a_disjoint_pair():
     assert random_disjoint_pairs(1, seed=0, max_total=2) == [
         IntervalPair(Interval(1, 0), Interval(2, 0))
     ]
+
+
+def test_random_pairs_cost_four_draws_each(monkeypatch):
+    # every draw comes from a feasible range, so nothing is ever rejected,
+    # even where almost no (r, s, a1) of the full ranges fits
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(hypharm.lemmas, "random", SimpleNamespace(Random=CountingRandom))
+    for max_total in (2, 3, 5, 30, 148, 149, 500):
+        draws.clear()
+        pairs = random_disjoint_pairs(25, seed=max_total, max_total=max_total)
+        assert len(draws) == 4 * 25
+        assert all(p.disjoint and p.second.end <= max_total for p in pairs)
+
+
+@pytest.mark.parametrize("max_total", [149, 200, 500])
+def test_random_pairs_keep_the_rejection_stream_where_all_fit(max_total):
+    for seed in range(4):
+        pairs = random_disjoint_pairs(300, seed, max_total)
+        assert [(p.first.a, p.first.r, p.second.a, p.second.r) for p in pairs] == (
+            oracles.disjoint_pairs_by_rejection(300, seed, max_total)
+        )
 
 
 def test_bracket_identity_random_pairs():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -7,8 +10,6 @@ from hypharm.kernel import miller_rabin
 from hypharm.search import (
     SearchConfig,
     confirm_exact,
-    detect_duplicates,
-    interval_fingerprint,
     prefix_residues,
     search,
     select_moduli,
@@ -65,9 +66,8 @@ def test_fingerprint_homomorphism_spot_check():
     for _ in range(1000):
         a = rng.randint(1, 500)
         end = rng.randint(a, 500)
-        interval = Interval(a, end - a)
-        value = g_exact(interval)
-        fp = interval_fingerprint(interval, moduli, prefixes)
+        value = g_exact(Interval(a, end - a))
+        fp = tuple((prefix[end] - prefix[a - 1]) % p for p, prefix in zip(moduli, prefixes))
         assert fp == tuple(
             value.numerator * pow(value.denominator, -1, p) % p for p in moduli
         )
@@ -125,11 +125,20 @@ def test_confirm_exact_examples():
     assert confirm_exact(IntervalPair(Interval(3, 2), Interval(3, 2)), exponent=1)
 
 
-def test_manufactured_duplicates_are_detected():
-    config = SearchConfig(max_n=50, seed=0)
-    pairs = detect_duplicates([Interval(7, 4), Interval(2, 1), Interval(7, 4)], config)
-    assert pairs == [IntervalPair(Interval(7, 4), Interval(7, 4))]
-    assert detect_duplicates([Interval(7, 4), Interval(2, 1)], config) == []
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="needs /proc and more than one CPU, where OpenBLAS would start workers",
+)
+def test_search_runs_on_one_thread():
+    # numpy's OpenBLAS would otherwise start a worker per CPU on import
+    probe = (
+        "import os; from hypharm.search import SearchConfig, search; "
+        "search(SearchConfig(max_n=50)); print(len(os.listdir('/proc/self/task')))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def test_search_supports_exploratory_exponents():
@@ -153,9 +162,7 @@ def test_screen_collisions_from_a_tiny_modulus_are_all_rejected_exactly():
     by_print = {}
     for a in range(1, n + 1):
         for end in range(a, n + 1):
-            interval = Interval(a, end - a)
-            fp = interval_fingerprint(interval, (p,), [prefix])
-            by_print.setdefault(fp, []).append(interval)
+            by_print.setdefault((prefix[end] - prefix[a - 1]) % p, []).append(Interval(a, end - a))
     groups = [members for members in by_print.values() if len(members) > 1]
     assert groups, "pigeonhole guarantees screen collisions here"
     for members in groups:

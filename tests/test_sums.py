@@ -153,15 +153,18 @@ def test_solve_eta_is_certified_inside_bracket():
     assert sol.eta.width <= Fraction(1, 2**64)
 
 
-@pytest.mark.parametrize("a", [10**12, 10**18, 2**70])
+@pytest.mark.parametrize("a", [1, 7, 10**12, 10**18, 2**70])
 @pytest.mark.parametrize("r", [1, 24])
 def test_solve_eta_strict_in_one_pass_for_large_starts(a, r):
-    # the bracket is only about r/(8a^2) wide here, far below 2^-64
-    sol = solve_eta(Interval(a, r), 64)
-    assert sol.strict_inside
-    assert sol.epsilon_low.strictly_below(sol.eta) and sol.eta.strictly_below(sol.epsilon_high)
-    assert sol.eta.width <= Fraction(1, 2**64)
-    assert sol.quadratic_at(sol.eta.lo) > 0 > sol.quadratic_at(sol.eta.hi)
+    # the bracket is only about r/(8a^2) wide at large starts, far below
+    # 2^-64; the closed form must land strictly inside it at any precision
+    for bits in (1, 3, 64, 1024):
+        sol = solve_eta(Interval(a, r), bits)
+        assert sol.strict_inside
+        assert sol.epsilon_low.strictly_below(sol.eta)
+        assert sol.eta.strictly_below(sol.epsilon_high)
+        assert sol.eta.width <= Fraction(1, 2**bits)
+        assert sol.quadratic_at(sol.eta.lo) > 0 > sol.quadratic_at(sol.eta.hi)
 
 
 def test_solve_eta_quadratic_sign_contract():
@@ -171,7 +174,8 @@ def test_solve_eta_quadratic_sign_contract():
 
 
 def test_solve_eta_matches_plain_fraction_bisection():
-    for a, r in ((1, 1), (3, 4), (10, 2)):
+    for a, r in ((1, 1), (3, 4), (10, 2), (1, 0), (7, 0), (2, 24), (40, 20), (100, 50),
+                 (10**6, 3), (2**70, 1)):
         sol = solve_eta(Interval(a, r), 64)
         lo, hi = oracles.eta_bisect(a, r)
         assert sol.eta.lo <= hi and lo <= sol.eta.hi
