@@ -1,14 +1,14 @@
 """Exact-arithmetic toolkit for reciprocal-power-sum distinctness checking.
 
-Everything here computes with big integers, reduced rationals, or dyadic
-enclosures; no floating point is used in any verified path.
+Everything here computes with big integers and reduced rationals; dyadic
+enclosures are certified by exact evaluation at their ends.  No floating
+point is used in any verified path.
 """
 
 __version__ = "0.1.0"
 
 from .kernel import (
     Enclosure,
-    ExactRational,
     PrimeSieve,
     Verdict,
     factorial_valuation,
@@ -22,7 +22,6 @@ from .sums import (
     epsilon,
     eta_band_report,
     g_exact,
-    g_mod,
     reduce_overlap,
     solve_eta,
     telescope_check,
@@ -30,7 +29,6 @@ from .sums import (
 
 __all__ = [
     "Enclosure",
-    "ExactRational",
     "Interval",
     "IntervalPair",
     "PrimeSieve",
@@ -39,7 +37,6 @@ __all__ = [
     "eta_band_report",
     "factorial_valuation",
     "g_exact",
-    "g_mod",
     "lcm_progression",
     "p_adic_valuation",
     "reduce_overlap",

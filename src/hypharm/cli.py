@@ -3,12 +3,13 @@
 Subcommands: search, verify, eta, decompose, reduce.  Exit codes: 0 when
 everything checked holds, 1 when a falsifying instance was found (for
 `search`, an exact collision would refute the headline claim), 2 on
-usage errors: --precision-bits outside [1, MAX_PRECISION_BITS], a
-`verify` box that holds no instance, or a search bound whose residue
-column would not fit in physical memory.  All randomness is seeded, so
-reruns with equal parameters emit byte-identical result payloads;
-`search` adds its phase timings and screen counters to the manifest, not
-to the results.
+usage errors: a flag the subcommand does not read (`--seed` exists on
+search and verify only, `--precision-bits` on verify and eta only),
+--precision-bits outside [1, MAX_PRECISION_BITS], a `verify` box that
+holds no instance, or a search bound whose residue column would not fit
+in physical memory.  All randomness is seeded, so reruns with equal
+parameters emit byte-identical result payloads; `search` adds its phase
+timings and screen counters to the manifest, not to the results.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ EXIT_USAGE = 2
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--precision-bits", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exponent", type=int, default=2, help="reciprocal power (2 default, 1 harmonic)")
     p.add_argument("--moduli", type=int, default=3, help="number of screening primes")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="run one lemma checker over a parameter range")
     p.add_argument(
@@ -85,11 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--max-total", type=int, default=None)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision-bits", type=int, default=64)
 
     p = sub.add_parser("eta", help="certified product-form offset for one window")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
     _add_common(p)
+    p.add_argument("--precision-bits", type=int, default=64)
 
     p = sub.add_parser("decompose", help="seven-term split of a disjoint pair's sum gap")
     p.add_argument("--a1", type=int, required=True)
@@ -377,7 +380,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
+    if hasattr(args, "precision_bits") and not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
         print(
             f"hypharm {args.subcommand}: --precision-bits must lie in [1, {MAX_PRECISION_BITS}]",
             file=sys.stderr,

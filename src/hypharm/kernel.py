@@ -1,8 +1,8 @@
-"""Numeric substrate: big rationals, dyadic enclosures, primes, valuations.
+"""Numeric substrate: dyadic enclosures, certified square roots, primes, valuations.
 
-All values are immutable after construction.  Enclosure endpoints are
-dyadic rationals (integer times a power of two), so interval arithmetic
-stays exact except where an operation explicitly rounds outward.
+All values are immutable after construction.  An enclosure is a pair of
+dyadic endpoints (integer times a power of two) that the certificates in
+`sums` and `lemmas` compare exactly; nothing here does interval arithmetic.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-# Reduced-form arbitrary-precision rational.  fractions.Fraction already
-# guarantees gcd(num, den) = 1, den >= 1 and canonical 0/1, which is the
-# whole contract we need, so we use it directly rather than rebuild it.
-ExactRational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -32,7 +27,7 @@ class Verdict(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# dyadic rounding helpers
+# dyadic rationals and enclosures
 # ---------------------------------------------------------------------------
 
 
@@ -40,18 +35,6 @@ def is_dyadic(x: Fraction) -> bool:
     """True if x is an integer multiple of a power of two."""
     d = x.denominator
     return d & (d - 1) == 0
-
-
-def dyadic_floor(x: Fraction, bits: int) -> Fraction:
-    """Largest multiple of 2^-bits that is <= x."""
-    if bits < 0:
-        raise ValueError("grid resolution must be nonnegative")
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    """Smallest multiple of 2^-bits that is >= x."""
-    return -dyadic_floor(-x, bits)
 
 
 def encode_dyadic(x: Fraction) -> str:
@@ -68,18 +51,12 @@ def decode_dyadic(text: str) -> Fraction:
     return Fraction(m) * Fraction(2) ** e
 
 
-# ---------------------------------------------------------------------------
-# enclosures
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class Enclosure:
-    """Certified interval [lo, hi] around a real value, dyadic endpoints.
+    """Interval [lo, hi] around a real value, with dyadic endpoints.
 
-    Arithmetic rounds lo downward and hi upward only; addition,
-    subtraction and multiplication of dyadics are exact and perform no
-    rounding at all.
+    Construction validates the endpoints and their order; what encloses
+    what is proved by the caller, by exact evaluation at lo and hi.
     """
 
     lo: Fraction
@@ -91,95 +68,9 @@ class Enclosure:
         if self.lo > self.hi:
             raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
 
-    # -- constructors --
-
-    @classmethod
-    def point(cls, x) -> "Enclosure":
-        x = Fraction(x)
-        return cls(x, x)
-
-    @classmethod
-    def from_fraction(cls, x: Fraction, bits: int) -> "Enclosure":
-        """Tightest 2^-bits-grid enclosure of an arbitrary rational."""
-        if is_dyadic(x):
-            return cls(x, x)
-        return cls(dyadic_floor(x, bits), dyadic_ceil(x, bits))
-
-    # -- queries --
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def strictly_below(self, other: "Enclosure") -> bool:
-        """Certified ordering: every point of self < every point of other."""
-        return self.hi < other.lo
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
-    # -- exact arithmetic --
-
-    def __neg__(self) -> "Enclosure":
-        return Enclosure(-self.hi, -self.lo)
-
-    def __add__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
-        other = Fraction(other)
-        return Enclosure(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo - other.hi, self.hi - other.lo)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other) -> "Enclosure":
-        return (-self) + Fraction(other)
-
-    def __mul__(self, other) -> "Enclosure":
-        if isinstance(other, Enclosure):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return Enclosure(min(products), max(products))
-        other = Fraction(other)
-        if not is_dyadic(other):
-            raise ValueError("scale by a dyadic, or lift via from_fraction")
-        if other >= 0:
-            return Enclosure(self.lo * other, self.hi * other)
-        return Enclosure(self.hi * other, self.lo * other)
-
-    __rmul__ = __mul__
-
-    # -- rounded arithmetic --
-
-    def reciprocal(self, bits: int) -> "Enclosure":
-        """Outward-rounded reciprocal; requires 0 outside the enclosure."""
-        if self.contains_zero():
-            raise ZeroDivisionError("reciprocal of an enclosure containing 0")
-        return Enclosure(dyadic_floor(1 / self.hi, bits), dyadic_ceil(1 / self.lo, bits))
-
-    def intersect(self, other: "Enclosure") -> "Enclosure":
-        """Refinement: combined knowledge never widens an enclosure."""
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("disjoint enclosures cannot enclose the same value")
-        return Enclosure(lo, hi)
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .kernel import (
-    Enclosure,
     PrimeSieve,
     Verdict,
     lcm_progression,
@@ -517,44 +516,6 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
     )
 
 
-# coefficient positivity facts used when regrouping the leading terms;
-# each vanishes at extent 0, so the verified domain starts at r, s >= 1
-def coefficient_sign_facts(r: int, s: int) -> dict[str, Fraction]:
-    m, n = Fraction(r + 1), Fraction(s + 1)
-    return {
-        "head_regroup": n**2 + 2 * m**2 - 10 + 6 / m**2 + 1 / n**2,
-        "gap_square": 3 * m**2 / 16 - Fraction(5, 8) + 7 / (16 * m**2),
-        "gap_cube": m**2 / 16 - Fraction(5, 24) + 7 / (48 * m**2),
-    }
-
-
-def sweep_sign_facts(limit: int) -> SweepResult:
-    """Record exactly where each coefficient sign fact fails on [0, limit]^2.
-
-    Denominators are cleared (multiplied by positive squares), so the box
-    is scanned in pure integer arithmetic; `coefficient_sign_facts` gives
-    the same verdicts pointwise.  Both gap facts clear to the same
-    polynomial 3m^4 - 10m^2 + 7 = (m^2 - 1)(3m^2 - 7), m = r + 1.
-    """
-    result = SweepResult("coefficient-sign-facts", {"limit": limit})
-    failing = {"head_regroup": [], "gap_square": [], "gap_cube": []}
-    for r in range(0, limit + 1):
-        m2 = (r + 1) ** 2
-        if not 3 * m2 * m2 - 10 * m2 + 7 > 0:
-            failing["gap_square"].append(r)
-            failing["gap_cube"].append(r)
-        for s in range(0, limit + 1):
-            result.checked += 1
-            n2 = (s + 1) ** 2
-            if not n2 * m2 * (n2 + 2 * m2 - 10) + 6 * n2 + m2 > 0:
-                failing["head_regroup"].append((r, s))
-    result.notes["failing"] = failing
-    result.failures = [
-        inst for inst in failing["head_regroup"] if inst[0] >= 1 and inst[1] >= 1
-    ] + [r for r in failing["gap_square"] + failing["gap_cube"] if r >= 1]
-    return result
-
-
 # ---------------------------------------------------------------------------
 # the positivity chain
 # ---------------------------------------------------------------------------
@@ -634,18 +595,24 @@ def check_bracket_identity(
     holds for every pair of windows (it reduces to the conditional printed
     form exactly when G1 = G2).  It is an algebraic tautology, because
     A = 4(w+1)/G - B exactly for the true eta, so this is a consistency
-    test of solve_eta: the left side is evaluated from its enclosures, the
-    right side exactly.  solve_eta takes eta in closed form from the same
+    test of solve_eta: the left side is bounded from its enclosures, the
+    right side is exact.  solve_eta takes eta in closed form from the same
     D = (w+1)^2 + 4(w+1)/G, so this re-checks that closed form end to end;
     the independent check of eta is plain bisection in the test oracles.
-    CERTIFIED means the residual enclosure contains 0 at width
-    <= 2^(4 - precision_bits).
 
-    One pass: t lies in (0, 1), so A multiplies the width of t by at most
-    4a+2w+2, and eta enclosures of width 2^-W give the left side a width
-    of at most 2 * scale * 2^-W, where
-    scale = (s+1)(4a1+2r+2) + (r+1)(4a2+2s+2).  Working at
-    W = p + bitlen(scale) + 2 bits keeps the residual below 2^-(p+1).
+    No interval arithmetic is needed.  A(t) = (4a+2w+t)*t - 1 increases
+    for t > -(2a+w), and t = 1 - 2*eta lies in (0, 1), so A is largest at
+    the low end of eta's enclosure and smallest at its high end.  The left
+    side therefore lies between the exact rationals
+    (s+1)*A1(eta1.hi) - (r+1)*A2(eta2.lo) and
+    (s+1)*A1(eta1.lo) - (r+1)*A2(eta2.hi).  FALSIFIED means the exact
+    right side is outside them; CERTIFIED means it is inside and they are
+    at most 2^(4 - precision_bits) apart.
+
+    One pass: A multiplies the width of t by at most 4a+2w+2, and eta
+    enclosures of width 2^-W give the left side a width of at most
+    2 * scale * 2^-W, where scale = (s+1)(4a1+2r+2) + (r+1)(4a2+2s+2).
+    Working at W = p + bitlen(scale) + 2 bits keeps it below 2^-(p+1).
     """
     a1, r = pair.first.a, pair.first.r
     a2, s = pair.second.a, pair.second.r
@@ -656,17 +623,21 @@ def check_bracket_identity(
     )
     scale = (s + 1) * (4 * a1 + 2 * r + 2) + (r + 1) * (4 * a2 + 2 * s + 2)
     w = precision_bits + scale.bit_length() + 2
-    t1 = 1 - 2 * solve_eta(pair.first, w).eta
-    t2 = 1 - 2 * solve_eta(pair.second, w).eta
-    lhs = (s + 1) * ((4 * a1 + 2 * r) * t1 - 1 + t1 * t1) - (r + 1) * (
-        (4 * a2 + 2 * s) * t2 - 1 + t2 * t2
-    )
-    residual = lhs - Enclosure.from_fraction(rhs, w)
-    if not residual.contains_zero():
+    eta1 = solve_eta(pair.first, w).eta
+    eta2 = solve_eta(pair.second, w).eta
+    low = (s + 1) * _offset_term(a1, r, eta1.hi) - (r + 1) * _offset_term(a2, s, eta2.lo)
+    high = (s + 1) * _offset_term(a1, r, eta1.lo) - (r + 1) * _offset_term(a2, s, eta2.hi)
+    if not low <= rhs <= high:
         return Verdict.FALSIFIED
-    if residual.width <= Fraction(2) ** (4 - precision_bits):
+    if high - low <= Fraction(2) ** (4 - precision_bits):
         return Verdict.CERTIFIED
     return Verdict.INCONCLUSIVE
+
+
+def _offset_term(a: int, w: int, eta: Fraction) -> Fraction:
+    """A = (4a+2w)*t - 1 + t^2 at t = 1 - 2*eta, exactly."""
+    t = 1 - 2 * eta
+    return (4 * a + 2 * w + t) * t - 1
 
 
 # ---------------------------------------------------------------------------
@@ -754,25 +725,6 @@ def sweep_telescope(n_max: int, precision_bits: int = DEFAULT_PRECISION_BITS) ->
         result.checked += 1
         if telescope_check(n, precision_bits) is not Verdict.CERTIFIED:
             result.failures.append({"n": n})
-    return result
-
-
-def sweep_epsilon_monotone(
-    n_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> SweepResult:
-    """Strict increase of the telescoping offset via disjoint enclosures."""
-    from .sums import epsilon
-
-    result = SweepResult(
-        "epsilon-monotone", {"n_max": n_max, "precision_bits": precision_bits}
-    )
-    previous = epsilon(1, precision_bits)
-    for n in range(2, n_max + 1):
-        current = epsilon(n, precision_bits)
-        result.checked += 1
-        if not previous.strictly_below(current):
-            result.failures.append({"n": n})
-        previous = current
     return result
 
 

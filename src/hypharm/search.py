@@ -103,11 +103,6 @@ def prefix_residues(n_max: int, p: int, exponent: int) -> list[int]:
     return prefix
 
 
-def confirm_exact(pair: IntervalPair, exponent: int = 2) -> bool:
-    """Exact rational equality of the two window sums."""
-    return window_power_sum(pair.first, exponent) == window_power_sum(pair.second, exponent)
-
-
 def _exact_groups(members: list[Interval], exponent: int) -> list[list[Interval]]:
     by_value: dict = {}
     for interval in members:

@@ -1,4 +1,4 @@
-"""Exact and modular window sums plus the certified offset machinery.
+"""Exact window sums plus the certified offset machinery.
 
 A window {a, ..., a+r} of consecutive integers has the exact sum
 G(a, r) = sum of 1/(a+i)^2.  Two irrational offsets drive the certified
@@ -10,12 +10,14 @@ reasoning about these sums:
   whole window sum collapses to the product form
   (r+1) / ((a+r+1-eta) * (a-eta)).
 
-Both are roots of quadratics with exact rational coefficients, so each is
-enclosed by one outward-rounded square root at a working precision
-computed from its inputs; no operation here ever trusts floating point.
-eta's enclosure is certified by the quadratic's exact signs at its ends,
-and where the answer is a rational comparison (the eta bands), it is
-decided exactly instead.
+Both are the smaller roots of quadratics with exact rational
+coefficients, so each is enclosed by one outward-rounded square root at a
+working precision computed from its inputs.  An enclosure is certified by
+the exact integer signs of its quadratic at its two dyadic ends
+(`_sign_change`): solve_eta does so for eta, and that test is the whole of
+telescope_check for epsilon.  Where the answer is a rational comparison
+(the eta bands), it is decided exactly instead.  No floating point and no
+interval arithmetic is used.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Enclosure, Verdict, miller_rabin, sqrt_enclosure
+from .kernel import Enclosure, Verdict, sqrt_enclosure
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 1024
@@ -80,7 +82,7 @@ class IntervalPair:
 
 
 # ---------------------------------------------------------------------------
-# exact and modular window sums
+# exact window sums
 # ---------------------------------------------------------------------------
 
 
@@ -105,17 +107,25 @@ def g_exact(interval: Interval) -> Fraction:
     return window_power_sum(interval, 2)
 
 
-def g_mod(interval: Interval, p: int, exponent: int = 2) -> int:
-    """Residue of the window sum mod p after clearing denominators.
+# ---------------------------------------------------------------------------
+# sign certificates
+# ---------------------------------------------------------------------------
 
-    Requires p prime and p > a + r so every term is invertible; then the
-    result agrees with the exact sum reduced mod p.
+
+def _sign_change(coeffs: tuple[int, int, int], enclosure: Enclosure) -> bool:
+    """True if c2*x^2 + c1*x + c0 is > 0 at enclosure.lo and < 0 at enclosure.hi.
+
+    At x = num/den the quadratic has the sign of the integer
+    c2*num^2 + c1*num*den + c0*den^2, which is evaluated exactly.  A
+    degenerate enclosure must be an exact root instead: zero at both ends.
     """
-    if not miller_rabin(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if p <= interval.end:
-        raise ValueError(f"modulus {p} divides a term of {interval}")
-    return sum(pow(k, -exponent, p) for k in range(interval.a, interval.end + 1)) % p
+    c2, c1, c0 = coeffs
+    signs = []
+    for x in (enclosure.lo, enclosure.hi):
+        num, den = x.numerator, x.denominator
+        value = c2 * num * num + c1 * num * den + c0 * den * den
+        signs.append((value > 0) - (value < 0))
+    return signs == ([1, -1] if enclosure.width else [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +155,24 @@ def epsilon(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Enclosure:
 def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Verdict:
     """Certify 1/(n - x) - 1/(n + 1 - x) = 1/n^2 for x = epsilon(n).
 
-    Both sides are evaluated in enclosure arithmetic at precision_bits;
-    CERTIFIED means the residual enclosure contains 0 with width
-    <= 2^(4 - precision_bits).  One pass always reaches that width: x has
-    width <= 2^-(p+1) and lies in (0, 1/2), so 1/(n - x) adds at most
-    4 * 2^-p (2 from x, 2 from rounding), 1/(n + 1 - x) at most 2.25 * 2^-p
-    and 1/n^2 at most 2^-p, for a residual width below 8 * 2^-p.
-    INCONCLUSIVE is kept for a width that ever exceeds the tolerance.
+    For x < n the identity says (n - x)(n + 1 - x) = n^2, that is
+    q(x) = x^2 - (2n+1)x + n = 0, and epsilon(n) is the smaller root of q
+    (the larger one exceeds 2n).  q is positive left of that root and
+    negative between the roots, so the exact integer signs (+, -) of q at
+    the two dyadic ends of epsilon(n, precision_bits) prove that the
+    enclosure holds the root.  4n^2 + 1 lies strictly between (2n)^2 and
+    (2n+1)^2, so the root is irrational and neither sign is ever zero.
+
+    CERTIFIED means those signs plus a width <= 2^-precision_bits; a sign
+    failure is FALSIFIED.  epsilon's width is at most 2^-(p+1), so
+    INCONCLUSIVE is only a guard for a width above the tolerance.
     """
     if n < 1:
         raise ValueError("telescope index must be >= 1")
-    w = precision_bits
-    eps = epsilon(n, w)
-    left = (n - eps).reciprocal(w) - (n + 1 - eps).reciprocal(w)
-    residual = left - Enclosure.from_fraction(Fraction(1, n * n), w)
-    if not residual.contains_zero():
+    eps = epsilon(n, precision_bits)
+    if not _sign_change((1, -(2 * n + 1), n), eps):
         return Verdict.FALSIFIED
-    if residual.width <= Fraction(2) ** (4 - precision_bits):
+    if eps.width <= Fraction(1, 1 << precision_bits):
         return Verdict.CERTIFIED
     return Verdict.INCONCLUSIVE
 
@@ -232,19 +243,11 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     s = quadratic[0]
     u, v = s.numerator, s.denominator
     # Integer coefficients of v * quadratic, for exact sign evaluation.
-    ai = u
-    bi = -u * (2 * a + r + 1)
-    ci = u * a * (a + r + 1) - (r + 1) * v
-
-    def sign_at(x: Fraction) -> int:
-        num, den = x.numerator, x.denominator  # den = 2^k
-        value = ai * num * num + bi * num * den + ci * den * den
-        return (value > 0) - (value < 0)
-
+    coeffs = (u, -u * (2 * a + r + 1), u * a * (a + r + 1) - (r + 1) * v)
     w = max(precision_bits + 8, 2 * (a + r).bit_length() + 8)
     root = sqrt_enclosure(_discriminant(interval, s), w + 1)
     eta = Enclosure((2 * a + r + 1 - root.hi) / 2, (2 * a + r + 1 - root.lo) / 2)
-    if (sign_at(eta.lo), sign_at(eta.hi)) != ((1, -1) if eta.width else (0, 0)):
+    if not _sign_change(coeffs, eta):
         raise ArithmeticError(
             f"the product-form quadratic does not change sign across {eta} for {interval}"
         )

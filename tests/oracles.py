@@ -101,6 +101,20 @@ def window_sum_direct(a: int, r: int, exponent: int = 2) -> Fraction:
     return total
 
 
+def g_mod(a: int, r: int, p: int, exponent: int = 2) -> int:
+    """Window sum of 1/k^exponent, k = a..a+r, modulo p, term by term.
+
+    Each term's inverse comes from pow(k, -exponent, p).  p must be prime
+    (checked by trial division) and exceed a + r, so that every term is
+    invertible; the result is then the exact sum reduced mod p.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"modulus {p} is not prime")
+    if p <= a + r:
+        raise ValueError(f"modulus {p} divides a term of [{a}..{a + r}]")
+    return sum(pow(k, -exponent, p) for k in range(a, a + r + 1)) % p
+
+
 def split_small_factors(x: int, bound: int) -> tuple[dict[int, int], int]:
     """Trial-divide x by every d in [2, bound), smallest first.
 

@@ -104,6 +104,25 @@ def test_positivity_chain_alias_is_gone():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--max-n", "10", "--precision-bits", "64"],
+        ["eta", "--a", "3", "--seed", "1"],
+        ["decompose", "--a1", "1", "--r", "0", "--a2", "2", "--s", "0", "--seed", "0"],
+        ["reduce", "--a1", "2", "--r", "3", "--a2", "4", "--s", "5", "--precision-bits", "8"],
+    ],
+    ids=["search-precision", "eta-seed", "decompose-seed", "reduce-precision"],
+)
+def test_flags_a_subcommand_never_reads_exit_two(argv, capsys):
+    # --seed exists only on search and verify, --precision-bits only on
+    # verify and eta; elsewhere they used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bits", [0, -3, MAX_PRECISION_BITS + 1, 5000])
 def test_precision_bits_outside_the_ceiling_exit_two(bits, capsys):
     # at 0 bits the bracket identity used to "hold"; at 5000 it reported

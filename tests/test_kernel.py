@@ -9,11 +9,8 @@ from hypharm.kernel import (
     Enclosure,
     PrimeSieve,
     decode_dyadic,
-    dyadic_ceil,
-    dyadic_floor,
     encode_dyadic,
     factorial_valuation,
-    is_dyadic,
     lcm_progression,
     miller_rabin,
     p_adic_valuation,
@@ -138,15 +135,7 @@ def test_sqrt_enclosure_narrows_monotonically():
         previous = current
 
 
-# -- dyadics and enclosure arithmetic --
-
-
-@given(st.fractions(min_value=-100, max_value=100), st.integers(min_value=0, max_value=40))
-def test_dyadic_rounding_brackets(x, bits):
-    lo, hi = dyadic_floor(x, bits), dyadic_ceil(x, bits)
-    assert lo <= x <= hi
-    assert is_dyadic(lo) and is_dyadic(hi)
-    assert hi - lo <= Fraction(1, 2**bits)
+# -- dyadics and enclosures --
 
 
 def test_dyadic_encoding_round_trip():
@@ -161,57 +150,6 @@ def test_enclosure_validation():
         Enclosure(Fraction(1, 3), Fraction(1, 2))
     with pytest.raises(ValueError):
         Enclosure(Fraction(1, 2), Fraction(1, 4))
-
-
-dyadics = st.builds(
-    lambda m, e: Fraction(m, 2**e),
-    st.integers(min_value=-(2**20), max_value=2**20),
-    st.integers(min_value=0, max_value=12),
-)
-
-
-@given(dyadics, dyadics, dyadics, dyadics)
-@settings(max_examples=200)
-def test_enclosure_arithmetic_preserves_containment(a, b, c, d):
-    x = Enclosure(min(a, b), max(a, b))
-    y = Enclosure(min(c, d), max(c, d))
-    # the endpoints themselves are contained values; ops must keep them inside
-    for u in (x.lo, x.hi):
-        for v in (y.lo, y.hi):
-            assert (x + y).contains(u + v)
-            assert (x - y).contains(u - v)
-            assert (x * y).contains(u * v)
-
-
-def test_enclosure_reciprocal_rounds_outward():
-    enc = Enclosure(Fraction(1, 2), Fraction(3, 4))
-    rec = enc.reciprocal(32)
-    assert rec.contains(Fraction(4, 3)) and rec.contains(2)
-    assert rec.lo <= Fraction(4, 3) and rec.hi >= 2
-    with pytest.raises(ZeroDivisionError):
-        Enclosure(Fraction(-1), Fraction(1)).reciprocal(8)
-
-
-@given(dyadics, dyadics, st.integers(min_value=4, max_value=60))
-@settings(max_examples=150)
-def test_enclosure_reciprocal_containment_property(a, b, bits):
-    lo, hi = min(a, b), max(a, b)
-    if lo <= 0 <= hi:
-        return
-    enc = Enclosure(lo, hi)
-    rec = enc.reciprocal(bits)
-    assert rec.contains(1 / Fraction(lo)) and rec.contains(1 / Fraction(hi))
-    # image width is 1/lo - 1/hi for either sign; rounding adds <= 2 ulps
-    assert rec.width <= 1 / Fraction(lo) - 1 / Fraction(hi) + Fraction(2, 2**bits)
-
-
-def test_enclosure_intersection_refines():
-    wide = Enclosure(Fraction(0), Fraction(1))
-    narrow = Enclosure(Fraction(1, 4), Fraction(3, 8))
-    refined = wide.intersect(narrow)
-    assert refined == narrow
-    with pytest.raises(ValueError):
-        narrow.intersect(Enclosure(Fraction(1), Fraction(2)))
 
 
 # -- primes --

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import hypharm.lemmas
-from hypharm.kernel import Verdict
+from hypharm.kernel import Enclosure, Verdict
 from hypharm.lemmas import (
     check_bertrand,
     check_bracket_identity,
@@ -18,12 +18,12 @@ from hypharm.lemmas import (
     check_prime_window,
     centered_power_sum_closed,
     centered_power_sum_direct,
-    coefficient_sign_facts,
     compute_L,
     diophantine_bracket,
     power_sum_closed_form,
     random_disjoint_pairs,
     search_necessary_identity,
+    SweepResult,
     solve_second_start,
     sweep_bertrand,
     sweep_bracket_identity,
@@ -32,10 +32,9 @@ from hypharm.lemmas import (
     sweep_large_prime_window,
     sweep_lcm_bound,
     sweep_prime_window,
-    sweep_sign_facts,
     taylor_decompose,
 )
-from hypharm.sums import Interval, IntervalPair, g_exact
+from hypharm.sums import Interval, IntervalPair, epsilon, g_exact
 
 import oracles
 
@@ -283,6 +282,44 @@ def test_chain_reports_overlap_as_hypothesis_failure():
 # -- coefficient sign facts --
 
 
+# coefficient positivity facts used when regrouping the leading terms;
+# each vanishes at extent 0, so the verified domain starts at r, s >= 1
+def coefficient_sign_facts(r: int, s: int) -> dict[str, Fraction]:
+    m, n = Fraction(r + 1), Fraction(s + 1)
+    return {
+        "head_regroup": n**2 + 2 * m**2 - 10 + 6 / m**2 + 1 / n**2,
+        "gap_square": 3 * m**2 / 16 - Fraction(5, 8) + 7 / (16 * m**2),
+        "gap_cube": m**2 / 16 - Fraction(5, 24) + 7 / (48 * m**2),
+    }
+
+
+def sweep_sign_facts(limit: int) -> SweepResult:
+    """Record exactly where each coefficient sign fact fails on [0, limit]^2.
+
+    Denominators are cleared (multiplied by positive squares), so the box
+    is scanned in pure integer arithmetic; `coefficient_sign_facts` gives
+    the same verdicts pointwise.  Both gap facts clear to the same
+    polynomial 3m^4 - 10m^2 + 7 = (m^2 - 1)(3m^2 - 7), m = r + 1.
+    """
+    result = SweepResult("coefficient-sign-facts", {"limit": limit})
+    failing = {"head_regroup": [], "gap_square": [], "gap_cube": []}
+    for r in range(0, limit + 1):
+        m2 = (r + 1) ** 2
+        if not 3 * m2 * m2 - 10 * m2 + 7 > 0:
+            failing["gap_square"].append(r)
+            failing["gap_cube"].append(r)
+        for s in range(0, limit + 1):
+            result.checked += 1
+            n2 = (s + 1) ** 2
+            if not n2 * m2 * (n2 + 2 * m2 - 10) + 6 * n2 + m2 > 0:
+                failing["head_regroup"].append((r, s))
+    result.notes["failing"] = failing
+    result.failures = [
+        inst for inst in failing["head_regroup"] if inst[0] >= 1 and inst[1] >= 1
+    ] + [r for r in failing["gap_square"] + failing["gap_cube"] if r >= 1]
+    return result
+
+
 def test_sign_facts_vanish_exactly_at_zero_extents():
     facts = coefficient_sign_facts(0, 0)
     assert facts["head_regroup"] == 0
@@ -310,9 +347,22 @@ def test_sign_facts_integer_sweep_agrees_with_pointwise_fractions():
             assert (facts["head_regroup"] > 0) == (integer_head > 0)
 
 
-def test_epsilon_monotone_sweep_full_range():
-    from hypharm.lemmas import sweep_epsilon_monotone
+def sweep_epsilon_monotone(n_max: int, precision_bits: int) -> SweepResult:
+    """Strict increase of the telescoping offset via disjoint enclosures."""
+    result = SweepResult(
+        "epsilon-monotone", {"n_max": n_max, "precision_bits": precision_bits}
+    )
+    previous = epsilon(1, precision_bits)
+    for n in range(2, n_max + 1):
+        current = epsilon(n, precision_bits)
+        result.checked += 1
+        if not previous.hi < current.lo:
+            result.failures.append({"n": n})
+        previous = current
+    return result
 
+
+def test_epsilon_monotone_sweep_full_range():
     result = sweep_epsilon_monotone(10**4, 64)
     assert result.holds and result.checked == 10**4 - 1
 
@@ -333,7 +383,8 @@ def test_bracket_identity_catches_a_shifted_eta(monkeypatch):
 
     def shifted(interval, precision_bits):
         solution = true_solve_eta(interval, precision_bits)
-        return dataclasses.replace(solution, eta=solution.eta + Fraction(1, 2**40))
+        lo, hi, d = solution.eta.lo, solution.eta.hi, Fraction(1, 2**40)
+        return dataclasses.replace(solution, eta=Enclosure(lo + d, hi + d))
 
     pairs = [
         IntervalPair(Interval(1, 0), Interval(2, 0)),

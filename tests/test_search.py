@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,12 +10,11 @@ import hypharm.search as search_module
 from hypharm.kernel import miller_rabin
 from hypharm.search import (
     SearchConfig,
-    confirm_exact,
     prefix_residues,
     search,
     select_moduli,
 )
-from hypharm.sums import Interval, IntervalPair, g_exact, g_mod
+from hypharm.sums import Interval, g_exact, window_power_sum
 
 import oracles
 
@@ -41,7 +41,7 @@ def test_prefix_residues_examples():
     prefix = prefix_residues(10, 101, 2)
     assert prefix[0] == 0
     assert prefix[2] == 77  # 1 + inverse(4) mod 101
-    assert (prefix[2] - prefix[0]) % 101 == g_mod(Interval(1, 1), 101)
+    assert (prefix[2] - prefix[0]) % 101 == oracles.g_mod(1, 1, 101)
     with pytest.raises(ValueError):
         prefix_residues(10, 7, 2)  # modulus below the bound
 
@@ -54,7 +54,7 @@ def test_prefix_differences_are_window_sums_mod_p():
             for _ in range(50):
                 a = rng.randint(1, 200)
                 end = rng.randint(a, 200)
-                expected = g_mod(Interval(a, end - a), p, exponent)
+                expected = oracles.g_mod(a, end - a, p, exponent)
                 assert (prefix[end] - prefix[a - 1]) % p == expected
 
 
@@ -120,9 +120,10 @@ def test_forced_small_moduli_screen_matches_oracle(monkeypatch, moduli, exponent
 
 
 def test_confirm_exact_examples():
-    assert confirm_exact(IntervalPair(Interval(1, 0), Interval(1, 0)))
-    assert not confirm_exact(IntervalPair(Interval(1, 0), Interval(2, 0)))
-    assert confirm_exact(IntervalPair(Interval(3, 2), Interval(3, 2)), exponent=1)
+    # the search confirms a screen group by comparing exact window sums
+    assert window_power_sum(Interval(1, 0), 2) == 1
+    assert window_power_sum(Interval(1, 0), 2) != window_power_sum(Interval(2, 0), 2)
+    assert window_power_sum(Interval(3, 2), 1) == Fraction(47, 60)
 
 
 @pytest.mark.skipif(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypharm.sums
 from hypharm.kernel import Enclosure, PrimeSieve, Verdict
 from hypharm.sums import (
     Interval,
@@ -12,7 +13,6 @@ from hypharm.sums import (
     epsilon,
     eta_band_report,
     g_exact,
-    g_mod,
     reduce_overlap,
     solve_eta,
     telescope_check,
@@ -72,12 +72,13 @@ def test_window_power_sum_matches_left_fold():
 
 
 def test_g_mod_examples():
-    assert g_mod(Interval(1, 1), 101) == 77
-    assert g_mod(Interval(1, 0), 13) == 1
+    # the modular oracle that the search's prefix residues are checked against
+    assert oracles.g_mod(1, 1, 101) == 77
+    assert oracles.g_mod(1, 0, 13) == 1
     with pytest.raises(ValueError):
-        g_mod(Interval(3, 1), 3)
+        oracles.g_mod(3, 1, 3)
     with pytest.raises(ValueError):
-        g_mod(Interval(1, 1), 15)  # composite modulus
+        oracles.g_mod(1, 1, 15)  # composite modulus
 
 
 def test_g_mod_cross_checks_exact_reduction():
@@ -89,7 +90,7 @@ def test_g_mod_cross_checks_exact_reduction():
         r = rng.randint(0, 120)
         p = rng.choice([q for q in primes if q > a + r])
         value = g_exact(Interval(a, r))
-        assert g_mod(Interval(a, r), p) == value.numerator * pow(value.denominator, -1, p) % p
+        assert oracles.g_mod(a, r, p) == value.numerator * pow(value.denominator, -1, p) % p
 
 
 # -- telescoping offsets --
@@ -112,7 +113,7 @@ def test_epsilon_strictly_increasing_certified():
     previous = epsilon(1, 64)
     for n in range(2, 1001):
         current = epsilon(n, 64)
-        assert previous.strictly_below(current)
+        assert previous.hi < current.lo
         previous = current
 
 
@@ -133,6 +134,21 @@ def test_telescope_sweep_small():
     assert all(telescope_check(n, 64) is Verdict.CERTIFIED for n in range(1, 301))
 
 
+def test_telescope_rejects_epsilon_shifted_one_step(monkeypatch):
+    # an enclosure moved by its own width starts where the true one ends,
+    # just past the root; the sign certificate must reject every such
+    # enclosure, however close it is
+    true_epsilon = hypharm.sums.epsilon
+
+    def shifted(n, precision_bits):
+        enc = true_epsilon(n, precision_bits)
+        return Enclosure(enc.lo + enc.width, enc.hi + enc.width)
+
+    monkeypatch.setattr(hypharm.sums, "epsilon", shifted)
+    for n in range(1, 2001):
+        assert telescope_check(n, 64) is Verdict.FALSIFIED, n
+
+
 # -- the product-form offset --
 
 
@@ -148,8 +164,8 @@ def test_solve_eta_degenerate_extent_equals_epsilon():
 def test_solve_eta_is_certified_inside_bracket():
     sol = solve_eta(Interval(1, 1), 64)
     assert sol.strict_inside
-    assert sol.epsilon_low.strictly_below(sol.eta)
-    assert sol.eta.strictly_below(sol.epsilon_high)
+    assert sol.epsilon_low.hi < sol.eta.lo
+    assert sol.eta.hi < sol.epsilon_high.lo
     assert sol.eta.width <= Fraction(1, 2**64)
 
 
@@ -161,8 +177,8 @@ def test_solve_eta_strict_in_one_pass_for_large_starts(a, r):
     for bits in (1, 3, 64, 1024):
         sol = solve_eta(Interval(a, r), bits)
         assert sol.strict_inside
-        assert sol.epsilon_low.strictly_below(sol.eta)
-        assert sol.eta.strictly_below(sol.epsilon_high)
+        assert sol.epsilon_low.hi < sol.eta.lo
+        assert sol.eta.hi < sol.epsilon_high.lo
         assert sol.eta.width <= Fraction(1, 2**bits)
         assert sol.quadratic_at(sol.eta.lo) > 0 > sol.quadratic_at(sol.eta.hi)
 
@@ -182,13 +198,16 @@ def test_solve_eta_matches_plain_fraction_bisection():
 
 
 def test_solve_eta_certifies_product_form():
-    # S * (a+r+1-eta) * (a-eta) must enclose r+1
+    # S * (a+r+1-eta) * (a-eta) must enclose r+1; both factors are positive
+    # and decrease in eta, so the product's bounds sit at eta's two ends
     for a, r in ((1, 3), (6, 6), (25, 10)):
         sol = solve_eta(Interval(a, r), 64)
         s = g_exact(Interval(a, r))
-        product = (a + r + 1 - sol.eta) * (a - sol.eta)
-        scaled = Enclosure.from_fraction(s, 128) * product
-        assert scaled.contains(r + 1)
+
+        def scaled(x):
+            return s * (a + r + 1 - x) * (a - x)
+
+        assert scaled(sol.eta.hi) <= r + 1 <= scaled(sol.eta.lo)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=12))
@@ -222,9 +241,13 @@ def test_band_expr_exact_matches_enclosure_route():
     # verdicts must agree with the plain bisection bracket for eta
     for a, r in ((1, 1), (2, 2), (9, 4), (33, 0)):
         report = eta_band_report(Interval(a, r), 64)
-        t = 1 - 2 * report.eta.eta
-        expr = (4 * a + 2 * r) * t - 1 + t * t
-        assert expr.contains(report.expr_exact)
+
+        def expr(x):  # increasing in t = 1 - 2x > 0, so decreasing in x
+            t = 1 - 2 * x
+            return (4 * a + 2 * r) * t - 1 + t * t
+
+        eta = report.eta.eta
+        assert expr(eta.hi) <= report.expr_exact <= expr(eta.lo)
 
         lo, hi = oracles.eta_bisect(a, r)
         t_lo, t_hi = 1 - 2 * hi, 1 - 2 * lo
