@@ -28,6 +28,7 @@ from .sums import (
     MAX_PRECISION_BITS,
     Interval,
     IntervalPair,
+    epsilon,
     eta_band_report,
     g_exact,
     reduce_overlap,
@@ -275,8 +276,8 @@ def cmd_eta(args, started, t0) -> int:
             "interval": interval,
             "eta": solution.eta,
             "eta_width_bits_ok": solution.eta.width <= Fraction(1, 2**args.precision_bits),
-            "epsilon_low": solution.epsilon_low,
-            "epsilon_high": solution.epsilon_high,
+            "epsilon_low": epsilon(args.a, args.precision_bits),
+            "epsilon_high": epsilon(args.a + args.r, args.precision_bits),
             "strict_inside": solution.strict_inside,
             "band": {
                 "q_lower": band.q_lower,

@@ -599,6 +599,8 @@ def check_bracket_identity(
     right side is exact.  solve_eta takes eta in closed form from the same
     D = (w+1)^2 + 4(w+1)/G, so this re-checks that closed form end to end;
     the independent check of eta is plain bisection in the test oracles.
+    The right side uses the G that each window's solve_eta returns, so
+    each window sum is computed once.
 
     No interval arithmetic is needed.  A(t) = (4a+2w+t)*t - 1 increases
     for t > -(2a+w), and t = 1 - 2*eta lies in (0, 1), so A is largest at
@@ -618,13 +620,12 @@ def check_bracket_identity(
     a2, s = pair.second.a, pair.second.r
     b1 = diophantine_bracket(a1, r)
     b2 = diophantine_bracket(a2, s)
-    rhs = (r + 1) * b2 - (s + 1) * b1 + 4 * (r + 1) * (s + 1) * (
-        1 / g_exact(pair.first) - 1 / g_exact(pair.second)
-    )
     scale = (s + 1) * (4 * a1 + 2 * r + 2) + (r + 1) * (4 * a2 + 2 * s + 2)
     w = precision_bits + scale.bit_length() + 2
-    eta1 = solve_eta(pair.first, w).eta
-    eta2 = solve_eta(pair.second, w).eta
+    sol1 = solve_eta(pair.first, w)
+    sol2 = solve_eta(pair.second, w)
+    eta1, eta2 = sol1.eta, sol2.eta
+    rhs = (r + 1) * b2 - (s + 1) * b1 + 4 * (r + 1) * (s + 1) * (1 / sol1.g - 1 / sol2.g)
     low = (s + 1) * _offset_term(a1, r, eta1.hi) - (r + 1) * _offset_term(a2, s, eta2.lo)
     high = (s + 1) * _offset_term(a1, r, eta1.lo) - (r + 1) * _offset_term(a2, s, eta2.hi)
     if not low <= rhs <= high:

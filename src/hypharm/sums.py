@@ -12,12 +12,12 @@ reasoning about these sums:
 
 Both are the smaller roots of quadratics with exact rational
 coefficients, so each is enclosed by one outward-rounded square root at a
-working precision computed from its inputs.  An enclosure is certified by
-the exact integer signs of its quadratic at its two dyadic ends
-(`_sign_change`): solve_eta does so for eta, and that test is the whole of
-telescope_check for epsilon.  Where the answer is a rational comparison
-(the eta bands), it is decided exactly instead.  No floating point and no
-interval arithmetic is used.
+working precision computed from its inputs.  Every certificate is the
+exact integer sign of a quadratic at a dyadic point (`_sign`): signs at an
+enclosure's two ends prove it holds the root (the whole of
+telescope_check), and two more put eta inside its epsilon bracket.  Where
+the answer is a rational comparison (the eta bands), it is decided
+exactly instead.  No floating point and no interval arithmetic is used.
 """
 
 from __future__ import annotations
@@ -86,20 +86,26 @@ class IntervalPair:
 # ---------------------------------------------------------------------------
 
 
-def _power_sum_range(lo: int, hi: int, exponent: int) -> Fraction:
-    # Balanced splitting keeps intermediate denominators near their final
-    # size instead of quadratic blowup from a left fold.
+def _power_sum_range(lo: int, hi: int, exponent: int) -> tuple[int, int]:
+    # Unreduced (num, den) of the sum: balanced splitting keeps products
+    # even-sized, and the caller's one reduction is the sum's only gcd.
     if hi - lo < 16:
-        return sum(Fraction(1, k**exponent) for k in range(lo, hi + 1))
+        num, den = 0, 1
+        for k in range(lo, hi + 1):
+            power = k**exponent
+            num, den = num * power + den, den * power
+        return num, den
     mid = (lo + hi) // 2
-    return _power_sum_range(lo, mid, exponent) + _power_sum_range(mid + 1, hi, exponent)
+    num1, den1 = _power_sum_range(lo, mid, exponent)
+    num2, den2 = _power_sum_range(mid + 1, hi, exponent)
+    return num1 * den2 + num2 * den1, den1 * den2
 
 
 def window_power_sum(interval: Interval, exponent: int) -> Fraction:
     """Exact reduced value of sum of 1/k^exponent over the window."""
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
-    return _power_sum_range(interval.a, interval.end, exponent)
+    return Fraction(*_power_sum_range(interval.a, interval.end, exponent))
 
 
 def g_exact(interval: Interval) -> Fraction:
@@ -112,19 +118,20 @@ def g_exact(interval: Interval) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _sign(coeffs: tuple[int, int, int], x: Fraction) -> int:
+    """Sign of c2*x^2 + c1*x + c0 at x = num/den: that of c2*num^2 + c1*num*den + c0*den^2."""
+    c2, c1, c0 = coeffs
+    num, den = x.numerator, x.denominator
+    value = c2 * num * num + c1 * num * den + c0 * den * den
+    return (value > 0) - (value < 0)
+
+
 def _sign_change(coeffs: tuple[int, int, int], enclosure: Enclosure) -> bool:
     """True if c2*x^2 + c1*x + c0 is > 0 at enclosure.lo and < 0 at enclosure.hi.
 
-    At x = num/den the quadratic has the sign of the integer
-    c2*num^2 + c1*num*den + c0*den^2, which is evaluated exactly.  A
-    degenerate enclosure must be an exact root instead: zero at both ends.
+    A degenerate enclosure must be an exact root instead: zero at both ends.
     """
-    c2, c1, c0 = coeffs
-    signs = []
-    for x in (enclosure.lo, enclosure.hi):
-        num, den = x.numerator, x.denominator
-        value = c2 * num * num + c1 * num * den + c0 * den * den
-        signs.append((value > 0) - (value < 0))
+    signs = [_sign(coeffs, enclosure.lo), _sign(coeffs, enclosure.hi)]
     return signs == ([1, -1] if enclosure.width else [0, 0])
 
 
@@ -186,31 +193,16 @@ def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ver
 class EtaSolution:
     """Certified root of the product-form quadratic for one window.
 
-    ``quadratic`` holds the exact coefficients (c2, c1, c0) of
-    c2*x^2 + c1*x + c0, whose smaller root, inside the epsilon bracket, is
-    eta.  The enclosure comes from the closed form; its endpoints are
-    dyadic points at which the quadratic was evaluated exactly with
-    opposite signs (or a degenerate point where it vanishes).
+    ``g`` is the exact window sum G(a, r), the quadratic's only input.  The
+    enclosure's dyadic ends are points at which the quadratic was evaluated
+    exactly with opposite signs (or a degenerate point where it vanishes).
+    ``strict_inside`` certifies epsilon(a) < eta < epsilon(a+r), for r >= 1.
     """
 
     interval: Interval
     eta: Enclosure
-    quadratic: tuple[Fraction, Fraction, Fraction]
-    epsilon_low: Enclosure
-    epsilon_high: Enclosure
+    g: Fraction
     strict_inside: bool
-
-    def quadratic_at(self, x: Fraction) -> Fraction:
-        c2, c1, c0 = self.quadratic
-        return c2 * x * x + c1 * x + c0
-
-
-def _product_form_quadratic(interval: Interval) -> tuple[Fraction, Fraction, Fraction]:
-    # S*x^2 - S*(2a+r+1)*x + S*a*(a+r+1) - (r+1) = 0, S the exact window sum;
-    # obtained by clearing (r+1) = S * (a+r+1-x) * (a-x).
-    a, r = interval.a, interval.r
-    s = g_exact(interval)
-    return (s, -s * (2 * a + r + 1), s * a * (a + r + 1) - (r + 1))
 
 
 def _discriminant(interval: Interval, g: Fraction) -> Fraction:
@@ -223,42 +215,41 @@ def _discriminant(interval: Interval, g: Fraction) -> Fraction:
 def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) -> EtaSolution:
     """Certified enclosure of the offset eta of a window.
 
-    eta is the root of the product-form quadratic lying inside
-    (epsilon(a), epsilon(a+r)); it satisfies
-    G(a, r) = (r+1) / ((a+r+1-eta) * (a-eta)).  It is the smaller root,
-    eta = (2a+r+1 - sqrt(D)) / 2 with D = (r+1)^2 + 4(r+1)/G(a, r), so one
-    outward-rounded square root at w + 1 bits gives an enclosure of width
-    <= 2^-(w+2), with w = max(p + 8, 2*bitlen(a+r) + 8).
+    eta is the smaller root of G*x^2 - G*(2a+r+1)*x + G*a*(a+r+1) - (r+1),
+    the cleared form of G = (r+1) / ((a+r+1-eta) * (a-eta)); G = G(a, r)
+    is computed once and returned.  eta = (2a+r+1 - sqrt(D)) / 2 with
+    D = (r+1)^2 + 4(r+1)/G, so one outward-rounded square root at w + 1
+    bits gives an enclosure of width <= 2^-(w+2), with
+    w = max(p + 8, 2*bitlen(a+r) + 8).  It is certified without trusting
+    the square root: the quadratic, evaluated exactly, is positive at its
+    lower end and negative at its upper end (zero at both if degenerate).
 
-    The enclosure is certified without trusting the square root: the
-    quadratic, evaluated exactly, is positive at its lower end and
-    negative at its upper end (zero at both for a degenerate point).  For
-    r >= 1 it is also certified strictly inside the epsilon bracket via
-    disjoint endpoint enclosures at w bits; the bracket is about
-    r/(8a(a+r)) wide and eta lies well inside it.  A failure of either
-    check raises ArithmeticError.
+    For r >= 1 two more exact signs put eta strictly inside
+    (epsilon(a), epsilon(a+r)).  q_n(x) = x^2 - (2n+1)x + n is negative
+    exactly between its roots epsilon(n) and 2n+1 - epsilon(n), so
+    q_a(eta.lo) < 0 proves eta.lo > epsilon(a).  The root's lower end is
+    >= 0, so eta.hi <= (2a+r+1)/2 < 2(a+r), below q_(a+r)'s larger root;
+    so q_(a+r)(eta.hi) > 0 proves eta.hi < epsilon(a+r).  The bracket is
+    about r/(8a(a+r)) wide and eta lies well inside it.  A failure of any
+    sign raises ArithmeticError.
     """
     a, r = interval.a, interval.r
-    quadratic = _product_form_quadratic(interval)
-    s = quadratic[0]
-    u, v = s.numerator, s.denominator
+    g = g_exact(interval)
+    u, v = g.numerator, g.denominator
     # Integer coefficients of v * quadratic, for exact sign evaluation.
     coeffs = (u, -u * (2 * a + r + 1), u * a * (a + r + 1) - (r + 1) * v)
     w = max(precision_bits + 8, 2 * (a + r).bit_length() + 8)
-    root = sqrt_enclosure(_discriminant(interval, s), w + 1)
+    root = sqrt_enclosure(_discriminant(interval, g), w + 1)
     eta = Enclosure((2 * a + r + 1 - root.hi) / 2, (2 * a + r + 1 - root.lo) / 2)
     if not _sign_change(coeffs, eta):
         raise ArithmeticError(
             f"the product-form quadratic does not change sign across {eta} for {interval}"
         )
-    eps_low = epsilon(a, w)
-    eps_high = eps_low if r == 0 else epsilon(a + r, w)
-    strict = r >= 1 and eps_low.hi < eta.lo and eta.hi < eps_high.lo
+    b = a + r
+    strict = r >= 1 and _sign((1, -2 * a - 1, a), eta.lo) < 0 < _sign((1, -2 * b - 1, b), eta.hi)
     if r >= 1 and not strict:
-        raise ArithmeticError(
-            f"could not certify eta strictly inside the bracket for {interval} at {w} bits"
-        )
-    return EtaSolution(interval, eta, quadratic, eps_low, eps_high, strict)
+        raise ArithmeticError(f"could not certify eta strictly inside the bracket for {interval}")
+    return EtaSolution(interval, eta, g, strict)
 
 
 @dataclass(frozen=True)
@@ -306,7 +297,7 @@ def eta_band_report(
     """
     a, r = interval.a, interval.r
     solution = solve_eta(interval, precision_bits)
-    disc = _discriminant(interval, solution.quadratic[0])
+    disc = _discriminant(interval, solution.g)
     q_lower = Fraction(1, 4 * (a + r) + 1)
     q_upper = Fraction(2, 4 * a + 1)
     expr_bound = Fraction(2 * r + 1, 4 * (a + r))

@@ -3,14 +3,16 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import hypharm.search as search_module
 from hypharm.cli import _VERIFY_BOXES, main
-from hypharm.report import decode_fraction, results_bytes
+from hypharm.kernel import decode_dyadic
+from hypharm.report import decode_fraction, encode_value, results_bytes
 from hypharm.search import SearchConfig, select_moduli
-from hypharm.sums import MAX_PRECISION_BITS
+from hypharm.sums import MAX_PRECISION_BITS, epsilon
 
 
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
@@ -239,6 +241,11 @@ def test_eta_subcommand(tmp_path):
     (result,) = json.loads(text)["results"]
     assert result["strict_inside"] is True
     assert result["eta_width_bits_ok"] is True  # width <= 2^-128
+    # the bracket ends are reported at the requested precision
+    assert result["epsilon_low"] == encode_value(epsilon(1, 128))
+    assert result["epsilon_high"] == encode_value(epsilon(4, 128))
+    low = {end: decode_dyadic(text) for end, text in result["epsilon_low"].items()}
+    assert low["hi"] - low["lo"] <= Fraction(1, 2**128)
 
     assert main(["eta", "--a", "0", "--r", "1"]) == 2
 

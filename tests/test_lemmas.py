@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import hypharm.lemmas
+import hypharm.sums
 from hypharm.kernel import Enclosure, Verdict
 from hypharm.lemmas import (
     check_bertrand,
@@ -34,7 +36,7 @@ from hypharm.lemmas import (
     sweep_prime_window,
     taylor_decompose,
 )
-from hypharm.sums import Interval, IntervalPair, epsilon, g_exact
+from hypharm.sums import Interval, IntervalPair, epsilon, g_exact, solve_eta
 
 import oracles
 
@@ -396,6 +398,29 @@ def test_bracket_identity_catches_a_shifted_eta(monkeypatch):
     monkeypatch.setattr(hypharm.lemmas, "solve_eta", shifted)
     for pair in pairs:
         assert check_bracket_identity(pair, 64) is Verdict.FALSIFIED
+
+
+def test_eta_paths_compute_each_sum_once(monkeypatch):
+    # solve_eta computes G once and returns it, and certifies the epsilon
+    # bracket by signs alone; the bracket identity reuses both windows' G
+    calls = collections.Counter()
+    for module, name in ((hypharm.sums, "g_exact"), (hypharm.lemmas, "g_exact"),
+                         (hypharm.sums, "epsilon"), (hypharm.sums, "sqrt_enclosure")):
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for a, r in ((1, 0), (1, 1), (40, 20), (2**70, 3)):
+        calls.clear()
+        solve_eta(Interval(a, r), 64)
+        assert calls == {"g_exact": 1, "sqrt_enclosure": 1}, (a, r)
+    pairs = random_disjoint_pairs(25, seed=1)
+    calls.clear()
+    for pair in pairs:
+        assert check_bracket_identity(pair, 64) is Verdict.CERTIFIED
+    assert calls["g_exact"] == 2 * len(pairs)
+    assert calls["epsilon"] == 0
 
 
 def test_random_pairs_need_room_for_a_disjoint_pair():

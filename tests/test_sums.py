@@ -152,6 +152,12 @@ def test_telescope_rejects_epsilon_shifted_one_step(monkeypatch):
 # -- the product-form offset --
 
 
+def product_form_at(sol, x):
+    # G*x^2 - G*(2a+r+1)*x + G*a*(a+r+1) - (r+1), evaluated exactly from sol.g
+    a, r, g = sol.interval.a, sol.interval.r, sol.g
+    return g * x * x - g * (2 * a + r + 1) * x + g * a * (a + r + 1) - (r + 1)
+
+
 def test_solve_eta_degenerate_extent_equals_epsilon():
     # r = 0 forces the offset to coincide with epsilon(a)
     for a in (1, 5, 40):
@@ -164,29 +170,35 @@ def test_solve_eta_degenerate_extent_equals_epsilon():
 def test_solve_eta_is_certified_inside_bracket():
     sol = solve_eta(Interval(1, 1), 64)
     assert sol.strict_inside
-    assert sol.epsilon_low.hi < sol.eta.lo
-    assert sol.eta.hi < sol.epsilon_high.lo
+    # independent 400-bit enclosures of the bracket ends
+    assert epsilon(1, 400).hi < sol.eta.lo
+    assert sol.eta.hi < epsilon(2, 400).lo
     assert sol.eta.width <= Fraction(1, 2**64)
+    assert sol.g == g_exact(Interval(1, 1))
 
 
 @pytest.mark.parametrize("a", [1, 7, 10**12, 10**18, 2**70])
 @pytest.mark.parametrize("r", [1, 24])
 def test_solve_eta_strict_in_one_pass_for_large_starts(a, r):
     # the bracket is only about r/(8a^2) wide at large starts, far below
-    # 2^-64; the closed form must land strictly inside it at any precision
+    # 2^-64; the closed form must land strictly inside it at any precision.
+    # 400 bits resolve the bracket ends independently even at a = 2^70.
+    eps_low, eps_high = epsilon(a, 400), epsilon(a + r, 400)
     for bits in (1, 3, 64, 1024):
         sol = solve_eta(Interval(a, r), bits)
         assert sol.strict_inside
-        assert sol.epsilon_low.hi < sol.eta.lo
-        assert sol.eta.hi < sol.epsilon_high.lo
+        assert eps_low.hi < sol.eta.lo
+        assert sol.eta.hi < eps_high.lo
         assert sol.eta.width <= Fraction(1, 2**bits)
-        assert sol.quadratic_at(sol.eta.lo) > 0 > sol.quadratic_at(sol.eta.hi)
+        assert sol.g == g_exact(Interval(a, r))
+        assert product_form_at(sol, sol.eta.lo) > 0 > product_form_at(sol, sol.eta.hi)
 
 
 def test_solve_eta_quadratic_sign_contract():
     for a, r in ((1, 1), (2, 5), (17, 3), (40, 0)):
         sol = solve_eta(Interval(a, r), 64)
-        assert sol.quadratic_at(sol.eta.lo) > 0 > sol.quadratic_at(sol.eta.hi)
+        assert sol.g == g_exact(Interval(a, r))
+        assert product_form_at(sol, sol.eta.lo) > 0 > product_form_at(sol, sol.eta.hi)
 
 
 def test_solve_eta_matches_plain_fraction_bisection():
@@ -215,7 +227,25 @@ def test_solve_eta_certifies_product_form():
 def test_solve_eta_width_and_bracket_property(a, r):
     sol = solve_eta(Interval(a, r), 64)
     assert sol.eta.width <= Fraction(1, 2**64)
-    assert sol.epsilon_low.lo <= sol.eta.lo and sol.eta.hi <= sol.epsilon_high.hi
+    eps_low, eps_high = epsilon(a, 400), epsilon(a + r, 400)
+    if r == 0:
+        # eta is epsilon(a) itself, so the two enclosures must overlap
+        assert not (sol.eta.hi < eps_low.lo or eps_low.hi < sol.eta.lo)
+    else:
+        assert eps_low.hi < sol.eta.lo and sol.eta.hi < eps_high.lo
+
+
+@pytest.mark.parametrize("scale", [2, Fraction(1, 2)], ids=["doubled", "halved"])
+def test_solve_eta_rejects_a_root_outside_the_bracket(monkeypatch, scale):
+    # a wrong window sum moves the root of its own quadratic, so the sign
+    # change still holds; doubling G pushes eta past epsilon(a+r) and
+    # halving it pulls eta below epsilon(a), and one bracket sign each
+    # must catch that
+    true_g = hypharm.sums.g_exact
+    monkeypatch.setattr(hypharm.sums, "g_exact", lambda interval: scale * true_g(interval))
+    for a, r in ((1, 1), (5, 3), (40, 20)):
+        with pytest.raises(ArithmeticError, match="strictly inside"):
+            solve_eta(Interval(a, r), 64)
 
 
 # -- band reports --
