@@ -6,10 +6,12 @@ everything checked holds, 1 when a falsifying instance was found (for
 usage errors: a flag the subcommand does not read (`--seed` exists on
 search and verify only, `--precision-bits` on verify and eta only),
 --precision-bits outside [1, MAX_PRECISION_BITS], a `verify` box that
-holds no instance, or a search bound whose residue column would not fit
-in physical memory.  All randomness is seeded, so reruns with equal
-parameters emit byte-identical result payloads; `search` adds its phase
-timings and screen counters to the manifest, not to the results.
+holds no instance, or a search bound or prime box (the `bertrand` prime
+table, the `prime-window` and `large-prime-window` factor tables) that
+would not fit in physical memory.  All randomness is seeded, so reruns
+with equal parameters emit byte-identical result payloads; `search` adds
+its phase timings and screen counters to the manifest, not to the
+results.
 """
 
 from __future__ import annotations

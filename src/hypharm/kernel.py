@@ -3,12 +3,19 @@
 All values are immutable after construction.  An enclosure is a pair of
 dyadic endpoints (integer times a power of two) that the certificates in
 `sums` and `lemmas` compare exactly; nothing here does interval arithmetic.
+
+Primes up to a bound come from one dense byte table, `PrimeSieve`, which
+every prime lemma reads; larger word-size integers go to `miller_rabin`.
+`require_memory` refuses, before allocation, any table that would not fit
+in physical memory.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +138,24 @@ def miller_rabin(n: int) -> bool:
     return True
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError if `what`, costing `nbytes`, would not fit in physical memory.
+
+    Callers ask before they allocate, so an oversized table is refused
+    with a message instead of ending in an out-of-memory kill.
+    """
+    memory = physical_memory()
+    if nbytes > memory:
+        raise ValueError(
+            f"{what} needs {nbytes} bytes, more than the {memory} bytes of physical memory"
+        )
+
+
 def _sieve_table(limit: int) -> bytearray:
     """Byte table t with t[i] = 1 iff i is prime, for 0 <= i <= limit."""
     table = bytearray([1]) * (limit + 1)
@@ -143,68 +168,37 @@ def _sieve_table(limit: int) -> bytearray:
 
 
 class PrimeSieve:
-    """Prime membership up to `limit`.
+    """Prime membership for 0 <= n <= limit, from one dense byte table.
 
-    The dense table is capped at 2^24 entries; queries and iteration above
-    the cap run segmented off the base table, so memory stays bounded for
-    desk-scale limits.
+    The table costs one byte per integer.  A limit whose table would not
+    fit in physical memory raises ValueError before anything is
+    allocated, and so does every query above `limit`.
     """
-
-    _DENSE_CAP = 1 << 24
-    _SEGMENT = 1 << 18
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("sieve limit must be at least 2")
-        if limit > self._DENSE_CAP * self._DENSE_CAP:
-            raise ValueError("sieve limit beyond desk scale (2^48)")
+        require_memory(limit + 1, f"a prime table up to {limit}")
         self.limit = limit
-        self._dense_limit = min(limit, self._DENSE_CAP)
-        self._table = _sieve_table(self._dense_limit)
+        self._table = _sieve_table(limit)
+
+    def _check(self, n: int) -> None:
+        if n > self.limit:
+            raise ValueError(f"query {n} beyond sieve limit {self.limit}")
 
     def is_prime(self, p: int) -> bool:
-        if p > self.limit:
-            raise ValueError(f"query {p} beyond sieve limit {self.limit}")
-        if p < 2:
-            return False
-        if p <= self._dense_limit:
-            return bool(self._table[p])
-        root = math.isqrt(p)
-        return all(p % q for q in self.primes(root + 1))
+        self._check(p)
+        return p >= 2 and bool(self._table[p])
 
-    def primes(self, stop: int | None = None):
-        """Yield primes < stop (default: all primes <= limit)."""
-        stop = self.limit + 1 if stop is None else min(stop, self.limit + 1)
-        table = self._table
-        for n in range(2, min(stop, self._dense_limit + 1)):
-            if table[n]:
-                yield n
-        lo = self._dense_limit + 1
-        while lo < stop:
-            hi = min(lo + self._SEGMENT, stop)
-            yield from self.primes_in_range(lo, hi - 1)
-            lo = hi
-
-    def primes_in_range(self, lo: int, hi: int) -> list[int]:
-        """Primes in [lo, hi], computed segmented off the base table."""
-        if hi < lo:
-            return []
-        if math.isqrt(hi) > self._dense_limit:
-            raise ValueError("range end beyond segmented reach of base table")
-        lo = max(lo, 2)
-        seg = bytearray([1]) * (hi - lo + 1)
-        for p in range(2, math.isqrt(hi) + 1):
-            if not self._table[p]:
-                continue
-            start = max(p * p, (lo + p - 1) // p * p)
-            seg[start - lo :: p] = bytearray(len(range(start, hi + 1, p)))
-        return [lo + i for i, flag in enumerate(seg) if flag]
+    def primes(self):
+        """Iterator over the primes <= limit, in ascending order."""
+        return itertools.compress(range(self.limit + 1), self._table)
 
     def smallest_prime_in(self, lo: int, hi: int) -> int | None:
-        for n in range(max(lo, 2), hi + 1):
-            if self.is_prime(n):
-                return n
-        return None
+        """Smallest prime in [lo, hi], or None if the range holds none."""
+        self._check(hi)
+        found = self._table.find(1, max(lo, 0), hi + 1)
+        return None if found < 0 else found
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .kernel import (
     Verdict,
     lcm_progression,
     factorial_valuation,
+    require_memory,
 )
 from .sums import (
     DEFAULT_PRECISION_BITS,
@@ -61,16 +62,14 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def check_bertrand(n: int, sieve: PrimeSieve | None = None, remark: bool = False) -> WitnessReport:
+def check_bertrand(n: int, remark: bool = False) -> WitnessReport:
     """Smallest prime in [n, 2n] (or [n, 2n-1] in the tightened mode)."""
     if remark and n < 2:
         raise ValueError("tightened window needs n > 1")
     if n < 1:
         raise ValueError("n must be positive")
     hi = 2 * n - 1 if remark else 2 * n
-    if sieve is None:
-        sieve = PrimeSieve(max(hi, 2))
-    prime = sieve.smallest_prime_in(n, hi)
+    prime = PrimeSieve(hi).smallest_prime_in(n, hi)
     return WitnessReport(
         claim="bertrand-remark" if remark else "bertrand",
         params={"n": n},
@@ -81,57 +80,54 @@ def check_bertrand(n: int, sieve: PrimeSieve | None = None, remark: bool = False
 
 def sweep_bertrand(n_max: int, remark: bool = False) -> SweepResult:
     """Exhaustive prime-in-[n,2n] check for 1 <= n <= n_max (2 <= n in remark mode)."""
-    sieve = PrimeSieve(2 * n_max + 1)
-    primes = list(sieve.primes())
+    primes = PrimeSieve(2 * n_max + 1).primes()
+    prime = next(primes)
     result = SweepResult(
         claim="bertrand-remark" if remark else "bertrand",
         params={"n_max": n_max, "window": "[n,2n-1]" if remark else "[n,2n]"},
     )
-    idx = 0
     for n in range(2 if remark else 1, n_max + 1):
-        while primes[idx] < n:
-            idx += 1
+        while prime < n:
+            prime = next(primes)
         result.checked += 1
-        if primes[idx] > (2 * n - 1 if remark else 2 * n):
+        if prime > (2 * n - 1 if remark else 2 * n):
             result.failures.append({"n": n})
     return result
 
 
 def greatest_prime_factor_table(limit: int) -> list[int]:
-    """gpf[x] = largest prime factor of x (0 for x < 2)."""
+    """gpf[x] = largest prime factor of x (0 for x < 2), for 0 <= x <= limit.
+
+    Each prime of `PrimeSieve` writes itself over its multiples, in
+    ascending order, so the largest prime factor is written last.  The
+    list costs 8 bytes per entry; a limit that would not fit in physical
+    memory raises ValueError before anything is allocated.
+    """
+    require_memory(8 * (limit + 1), f"a prime factor table up to {limit}")
     gpf = [0] * (limit + 1)
-    for p in range(2, limit + 1):
-        if gpf[p] == 0:
-            for m in range(p, limit + 1, p):
-                gpf[m] = p
+    for p in PrimeSieve(max(limit, 2)).primes():
+        gpf[p::p] = [p] * (limit // p)
     return gpf
 
 
-def _largest_prime_factor(x: int) -> int:
-    best = 1
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            best = d
-            x //= d
-        d += 1
-    return max(best, x) if x > 1 else best
-
-
 def _window_witness(lo: int, count: int, threshold: int, gpf) -> dict | None:
-    """First element of {lo, ..., lo+count-1} with a prime factor >= threshold."""
+    """First element of {lo, ..., lo+count-1} with a prime factor >= threshold.
+
+    Largest prime factors come from the table `gpf`, or by trial division
+    when it is None.
+    """
     for x in range(lo, lo + count):
-        p = gpf[x] if gpf is not None else _largest_prime_factor(x)
+        p = gpf[x] if gpf is not None else max(_prime_divisors(x), default=0)
         if p >= threshold:
             return {"element": x, "prime": p}
     return None
 
 
-def check_prime_window(n: int, k: int, gpf=None) -> WitnessReport:
+def check_prime_window(n: int, k: int) -> WitnessReport:
     """Element of {n, ..., n+k-1} with a prime factor >= k+1, given n > k >= 1."""
     if not n > k >= 1:
         raise ValueError("needs n > k >= 1")
-    witness = _window_witness(n, k, k + 1, gpf)
+    witness = _window_witness(n, k, k + 1, None)
     return WitnessReport("prime-window", {"n": n, "k": k}, witness, witness is not None)
 
 
@@ -147,7 +143,7 @@ def sweep_prime_window(k_max: int, n_span: int) -> SweepResult:
     return result
 
 
-def check_large_prime_window(n: int, k: int, gpf=None) -> WitnessReport:
+def check_large_prime_window(n: int, k: int) -> WitnessReport:
     """Element of {n, ..., n+k} with a prime factor >= 2(k+1), given n >= (k+1)^2.
 
     The claim is false as stated: {8, 9} = {2^3, 3^2} (n=8, k=1) has no
@@ -158,7 +154,7 @@ def check_large_prime_window(n: int, k: int, gpf=None) -> WitnessReport:
         raise ValueError("needs k >= 1")
     if n < (k + 1) ** 2:
         raise ValueError("needs n >= (k+1)^2")
-    witness = _window_witness(n, k + 1, 2 * (k + 1), gpf)
+    witness = _window_witness(n, k + 1, 2 * (k + 1), None)
     return WitnessReport("large-prime-window", {"n": n, "k": k}, witness, witness is not None)
 
 
@@ -271,13 +267,13 @@ def centered_power_sum_direct(r: int, exponent: int) -> Fraction:
     return sum(Fraction(2 * i - r, 2) ** exponent for i in range(r + 1))
 
 
-def sweep_power_sums(r_max: int, exponents=(2, 4, 6)) -> SweepResult:
-    """Closed form versus running direct sums for every r <= r_max."""
-    result = SweepResult("power-sums", {"r_max": r_max, "exponents": list(exponents)})
-    even_sums = {e: 0 for e in exponents}  # sum of i^e, i = 1..r/2
-    odd_sums = {e: 0 for e in exponents}  # sum of (2i-1)^e, i = 1..(r+1)/2
+def sweep_power_sums(r_max: int) -> SweepResult:
+    """Closed form versus running direct sums for every r <= r_max and exponent 2, 4, 6."""
+    result = SweepResult("power-sums", {"r_max": r_max, "exponents": list(_POWER_SUM_FORMS)})
+    even_sums = {e: 0 for e in _POWER_SUM_FORMS}  # sum of i^e, i = 1..r/2
+    odd_sums = {e: 0 for e in _POWER_SUM_FORMS}  # sum of (2i-1)^e, i = 1..(r+1)/2
     for r in range(1, r_max + 1):
-        for e in exponents:
+        for e in _POWER_SUM_FORMS:
             if r % 2 == 0:
                 even_sums[e] += (r // 2) ** e
                 direct = even_sums[e]

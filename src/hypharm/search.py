@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .kernel import miller_rabin
+from .kernel import miller_rabin, require_memory
 from .sums import Interval, IntervalPair, window_power_sum
 
 # Residue tuple of one window across the screening moduli.  Equal exact
@@ -54,7 +54,6 @@ class CollisionReport:
     interval_count: int
     screen_collision_pairs: list[IntervalPair]
     exact_collision_pairs: list[IntervalPair]
-    wall_time: float
     # Phase timings (fill_s includes the prefix arrays) and screen
     # counters: run metadata for the manifest, never part of the results.
     stats: dict = field(default_factory=dict)
@@ -134,12 +133,7 @@ def search(config: SearchConfig) -> CollisionReport:
     t0 = time.perf_counter()
     n = config.max_n
     count = n * (n + 1) // 2
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * count > memory:
-        raise ValueError(
-            f"{count} windows need {8 * count} bytes of residues, "
-            f"more than the {memory} bytes of physical memory"
-        )
+    require_memory(8 * count, f"the residue column of {count} windows")
     moduli = select_moduli(config)
     prefixes = [np.array(prefix_residues(n, p, config.exponent), dtype=np.int64) for p in moduli]
 
@@ -189,7 +183,6 @@ def search(config: SearchConfig) -> CollisionReport:
         interval_count=count,
         screen_collision_pairs=screen_pairs,
         exact_collision_pairs=exact_pairs,
-        wall_time=t_end - t0,
         stats={
             "fill_s": round(t_fill - t0, 6),
             "sort_s": round(t_sort - t_fill, 6),

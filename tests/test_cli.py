@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypharm.kernel as kernel_module
 import hypharm.search as search_module
 from hypharm.cli import _VERIFY_BOXES, main
 from hypharm.kernel import decode_dyadic
@@ -51,6 +52,26 @@ def test_search_beyond_physical_memory_exits_two_before_any_work(monkeypatch, ca
     monkeypatch.setattr(search_module, "select_moduli", unreachable)
     monkeypatch.setattr(search_module, "prefix_residues", unreachable)
     assert main(["search", "--max-n", "10000000"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bertrand", "--n-max", "1000000"],
+        ["prime-window", "--n-span", "1000000"],
+        ["large-prime-window", "--n-span", "1000000"],
+    ],
+)
+def test_prime_boxes_beyond_physical_memory_exit_two_before_sieving(monkeypatch, capsys, argv):
+    # with 1 MiB of memory, neither a 2 MB prime table nor an 8 MB factor
+    # table fits; the guard must refuse them before any sieve runs
+    def unreachable(*args):
+        raise AssertionError("a prime table was built past the memory guard")
+
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 1 << 20)
+    monkeypatch.setattr(kernel_module, "_sieve_table", unreachable)
+    assert main(["verify", "--lemma", *argv]) == 2
     assert "physical memory" in capsys.readouterr().err
 
 

@@ -156,15 +156,20 @@ def test_enclosure_validation():
 
 
 def test_sieve_agrees_with_miller_rabin():
-    sieve = PrimeSieve(10_000)
-    for n in range(2, 10_000):
+    sieve = PrimeSieve(40_000)
+    for n in range(2, 40_001):
         assert sieve.is_prime(n) == miller_rabin(n)
+    assert list(sieve.primes()) == [n for n in range(40_001) if miller_rabin(n)]
+    # every query window ending at 10,020, including the empty tails past 10,009
+    for lo in range(9_990, 10_021):
+        expected = next((n for n in range(lo, 10_021) if miller_rabin(n)), None)
+        assert sieve.smallest_prime_in(lo, 10_020) == expected
 
 
 def test_sieve_segmented_range():
     sieve = PrimeSieve(10**6)
-    assert sieve.primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
-    assert sieve.primes_in_range(999_900, 1_000_000)[-1] == 999_983
+    assert [p for p in sieve.primes() if 10 <= p <= 30] == [11, 13, 17, 19, 23, 29]
+    assert max(sieve.primes()) == 999_983
     assert sieve.smallest_prime_in(24, 28) is None
     assert sieve.smallest_prime_in(24, 29) == 29
 
@@ -173,6 +178,8 @@ def test_sieve_rejects_out_of_range_query():
     sieve = PrimeSieve(100)
     with pytest.raises(ValueError):
         sieve.is_prime(101)
+    with pytest.raises(ValueError):
+        sieve.smallest_prime_in(90, 101)
 
 
 def test_miller_rabin_known_values():
@@ -183,16 +190,3 @@ def test_miller_rabin_known_values():
     # strong pseudoprime to several bases, caught by the full witness set
     assert not miller_rabin(3215031751)
 
-
-def test_sieve_segmented_above_dense_cap(monkeypatch):
-    # shrink the dense cap so the segmented paths get real coverage
-    monkeypatch.setattr(PrimeSieve, "_DENSE_CAP", 10_000)
-    sieve = PrimeSieve(40_000)
-    assert sieve._dense_limit == 10_000
-    for p in (10_007, 10_009, 39_989, 25_000, 32_767):
-        assert sieve.is_prime(p) == miller_rabin(p)
-    spanning = sieve.primes_in_range(9_990, 10_020)
-    assert spanning == [n for n in range(9_990, 10_021) if miller_rabin(n)]
-    streamed = list(sieve.primes())
-    assert streamed[0] == 2 and streamed[-1] == 39_989
-    assert len(streamed) == sum(1 for n in range(2, 40_001) if miller_rabin(n))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ import pytest
 
 import hypharm.lemmas
 import hypharm.sums
-from hypharm.kernel import Enclosure, Verdict
+from hypharm.kernel import Enclosure, PrimeSieve, Verdict
 from hypharm.lemmas import (
     check_bertrand,
     check_bracket_identity,
@@ -22,6 +23,7 @@ from hypharm.lemmas import (
     centered_power_sum_direct,
     compute_L,
     diophantine_bracket,
+    greatest_prime_factor_table,
     power_sum_closed_form,
     random_disjoint_pairs,
     search_necessary_identity,
@@ -60,6 +62,33 @@ def test_bertrand_examples():
 def test_bertrand_sweeps():
     assert sweep_bertrand(5000).holds
     assert sweep_bertrand(5000, remark=True).holds
+
+
+def test_bertrand_sweep_reports_every_window_its_primes_miss(monkeypatch):
+    # hide the primes 11..23 from the sweep: then [n, 2n] holds none of the
+    # remaining primes exactly for n = 8..14, and a sweep that reads a stale
+    # prime (7 at n = 8) would miss those windows
+    all_primes = PrimeSieve.primes
+    monkeypatch.setattr(
+        PrimeSieve, "primes", lambda self: (p for p in all_primes(self) if not 10 < p < 24)
+    )
+    given = list(PrimeSieve(201).primes())
+    for remark in (False, True):
+        expected = [
+            {"n": n}
+            for n in range(2 if remark else 1, 101)
+            if not any(n <= p <= (2 * n - 1 if remark else 2 * n) for p in given)
+        ]
+        assert expected[:2] == [{"n": 8}, {"n": 9}]
+        assert sweep_bertrand(100, remark=remark).failures == expected
+
+
+def test_greatest_prime_factor_table_matches_trial_division():
+    gpf = greatest_prime_factor_table(5000)
+    assert len(gpf) == 5001 and gpf[:2] == [0, 0]
+    for x in range(2, 5001):
+        exponents, cofactor = oracles.split_small_factors(x, math.isqrt(x) + 1)
+        assert gpf[x] == (cofactor if cofactor > 1 else max(exponents)), x
 
 
 def test_prime_window_examples():
