@@ -7,7 +7,7 @@ dyadic endpoints (integer times a power of two) that the certificates in
 Primes up to a bound come from one dense byte table, `PrimeSieve`, which
 every prime lemma reads; larger word-size integers go to `miller_rabin`.
 `require_memory` refuses, before allocation, any table that would not fit
-in physical memory.
+in physical memory or under the process's address-space limit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import enum
 import itertools
 import math
 import os
+import resource
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,16 +145,20 @@ def physical_memory() -> int:
 
 
 def require_memory(nbytes: int, what: str) -> None:
-    """Raise ValueError if `what`, costing `nbytes`, would not fit in physical memory.
+    """Raise ValueError if `what`, costing `nbytes`, would not fit in memory.
 
-    Callers ask before they allocate, so an oversized table is refused
-    with a message instead of ending in an out-of-memory kill.
+    The cap is the smaller of physical memory and the process's soft
+    address-space limit (RLIMIT_AS), when one is set; the message names
+    the one that binds.  Callers ask before they allocate, so an oversized
+    table is refused with a message instead of ending in a MemoryError or
+    an out-of-memory kill.
     """
-    memory = physical_memory()
+    memory, source = physical_memory(), "physical memory"
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY and soft < memory:
+        memory, source = soft, "the address-space limit (RLIMIT_AS)"
     if nbytes > memory:
-        raise ValueError(
-            f"{what} needs {nbytes} bytes, more than the {memory} bytes of physical memory"
-        )
+        raise ValueError(f"{what} needs {nbytes} bytes, more than the {memory} bytes of {source}")
 
 
 def _sieve_table(limit: int) -> bytearray:
@@ -171,8 +176,8 @@ class PrimeSieve:
     """Prime membership for 0 <= n <= limit, from one dense byte table.
 
     The table costs one byte per integer.  A limit whose table would not
-    fit in physical memory raises ValueError before anything is
-    allocated, and so does every query above `limit`.
+    fit in memory (see `require_memory`) raises ValueError before anything
+    is allocated, and so does every query above `limit`.
     """
 
     def __init__(self, limit: int):

@@ -202,7 +202,9 @@ GRID_A, GRID_R = 100, 50
 
 @pytest.fixture(scope="module")
 def band_grid():
-    # one pass over the full grid serves the width, bracket and band checks
+    # one band sweep over the full grid serves the bracket-band and
+    # quadratic-band checks; test_criterion_4_eta_enclosures solves the
+    # grid again with its own loop, independently of the sweep
     return sweep_eta_band(GRID_A, GRID_R, 64)
 
 

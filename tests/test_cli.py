@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import hypharm.kernel as kernel_module
+import hypharm.lemmas as lemmas_module
 import hypharm.search as search_module
 from hypharm.cli import _VERIFY_BOXES, main
 from hypharm.kernel import decode_dyadic
@@ -73,6 +75,24 @@ def test_prime_boxes_beyond_physical_memory_exit_two_before_sieving(monkeypatch,
     monkeypatch.setattr(kernel_module, "_sieve_table", unreachable)
     assert main(["verify", "--lemma", *argv]) == 2
     assert "physical memory" in capsys.readouterr().err
+
+
+def test_bertrand_beyond_the_address_space_limit_exits_two_before_sieving():
+    # a 4 GB prime table does not fit under a 2 GiB RLIMIT_AS, which binds
+    # on any machine with more physical memory than that; the guard must
+    # refuse the table instead of letting the sieve raise MemoryError
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+    argv = ["verify", "--lemma", "bertrand", "--n-max", "2000000000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypharm", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "address-space limit (RLIMIT_AS)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
@@ -233,6 +253,7 @@ def test_verify_eta_band_reports_known_falsification(tmp_path):
     code, text = run_cli(["verify", "--lemma", "eta-band", "--a-max", "2", "--r-max", "2"], tmp_path)
     assert code == 1
     results = json.loads(text)["results"]
+    assert [r["claim"] for r in results] == ["eta-enclosure", "eta-band"]
     band = next(r for r in results if r["claim"] == "eta-band")
     assert any(f["a"] == 1 and f["r"] == 1 for f in band["failures"])
     enclosures = next(r for r in results if r["claim"] == "eta-enclosure")
@@ -300,6 +321,24 @@ def test_decompose_certifies_chain_on_eligible_quadruple(tmp_path):
     assert result["chain_hypothesis_failures"] == []
     assert result["chain_bounds"] and all(result["chain_bounds"].values())
     assert decode_fraction(result["difference"]) > 0
+
+
+@pytest.mark.parametrize(
+    "quad", [(1, 0, 2, 0), (12, 3, 22, 19), (14451, 0, 59575, 16)], ids=["plain", "e11", "chain"]
+)
+def test_decompose_computes_its_decomposition_once(monkeypatch, tmp_path, quad):
+    calls = []
+    original = lemmas_module.taylor_decompose
+
+    def counted(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(lemmas_module, "taylor_decompose", counted)
+    a1, r, a2, s = map(str, quad)
+    code, _ = run_cli(["decompose", "--a1", a1, "--r", r, "--a2", a2, "--s", s], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_reduce_subcommand(tmp_path):

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import hypharm.cli
+import hypharm.kernel
 import hypharm.lemmas
 import hypharm.sums
 from hypharm.kernel import Enclosure, PrimeSieve, Verdict
@@ -89,6 +91,15 @@ def test_greatest_prime_factor_table_matches_trial_division():
     for x in range(2, 5001):
         exponents, cofactor = oracles.split_small_factors(x, math.isqrt(x) + 1)
         assert gpf[x] == (cofactor if cofactor > 1 else max(exponents)), x
+
+
+def test_greatest_prime_factor_table_guards_its_build_peak(monkeypatch):
+    # building the table peaks near 17 B per entry, not the 8 B it keeps;
+    # memory for 16 B per entry must be refused before anything is built
+    limit = 100_000
+    monkeypatch.setattr(hypharm.kernel, "physical_memory", lambda: 16 * (limit + 1))
+    with pytest.raises(ValueError, match="prime factor table"):
+        greatest_prime_factor_table(limit)
 
 
 def test_prime_window_examples():
@@ -450,6 +461,11 @@ def test_eta_paths_compute_each_sum_once(monkeypatch):
         assert check_bracket_identity(pair, 64) is Verdict.CERTIFIED
     assert calls["g_exact"] == 2 * len(pairs)
     assert calls["epsilon"] == 0
+    # the eta-band verify fills both of its sweeps from one solve per window
+    calls.clear()
+    argv = ["verify", "--lemma", "eta-band", "--a-max", "4", "--r-max", "3", "--format", "json"]
+    assert hypharm.cli.main(argv) == 1  # the quadratic band fails at a=1, r=1
+    assert calls == {"g_exact": 4 * 4, "sqrt_enclosure": 4 * 4}
 
 
 def test_random_pairs_need_room_for_a_disjoint_pair():
