@@ -6,13 +6,18 @@ everything checked holds, 1 when a falsifying instance was found (for
 usage errors: a flag the subcommand does not read (`--seed` exists on
 search and verify only, `--precision-bits` on verify and eta only),
 --precision-bits outside [1, MAX_PRECISION_BITS], a `verify` box that
-holds no instance, or a search bound or prime box (the `bertrand` prime
+holds no instance, a search bound or prime box (the `bertrand` prime
 table, the `prime-window` and `large-prime-window` factor tables) that
 would not fit in physical memory or under the process's address-space
-limit.  All randomness is seeded, so reruns
-with equal parameters emit byte-identical result payloads; `search` adds
-its phase timings and screen counters to the manifest, not to the
-results.
+limit, or a report that cannot be written.
+
+Each `cmd_*` handler returns a `Run` (its verdict in `exit_code`), or
+raises ValueError for a usage error (`eta` raises `Uncertified` when it
+cannot bracket its window: exit 1).  `main` alone turns that into the
+report or the stderr message and the exit code.  All randomness is
+seeded, so reruns with equal parameters emit byte-identical result
+payloads; `search` adds its phase timings and screen counters to the
+manifest, not to the results.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ import argparse
 import datetime
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
 from . import lemmas
 from .report import RunManifest, render
-from .search import CollisionReport, SearchConfig, search
+from .search import SearchConfig, search
 from .sums import (
     MAX_PRECISION_BITS,
     Interval,
@@ -40,6 +46,21 @@ from .sums import (
 EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+
+
+@dataclass
+class Run:
+    """What a handler computed: the report's content and the exit code."""
+
+    parameters: dict
+    results: list
+    outcome: str
+    exit_code: int = EXIT_OK
+    stats: dict = field(default_factory=dict)
+
+
+class Uncertified(Exception):
+    """The run cannot certify its claim: exit 1 with a message, no report."""
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -88,46 +109,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--precision-bits", type=int, default=64)
 
-    p = sub.add_parser("decompose", help="seven-term split of a disjoint pair's sum gap")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("reduce", help="rewrite an overlapping pair as a disjoint one")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    _add_common(p)
+    for name, help_text in (
+        ("decompose", "seven-term split of a disjoint pair's sum gap"),
+        ("reduce", "rewrite an overlapping pair as a disjoint one"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in _PAIR_FLAGS:
+            p.add_argument(f"--{flag}", type=int, required=True)
+        _add_common(p)
 
     return parser
 
 
-def _emit(args, subcommand: str, parameters: dict, results, outcome: str, started, t0,
-          stats: dict | None = None) -> None:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        parameters=parameters,
-        version=__version__,
-        seed=getattr(args, "seed", None),
-        started=started,
-        finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        wall_time_s=round(time.perf_counter() - t0, 6),
-        outcome=outcome,
-        stats=stats or {},
+def cmd_search(args) -> Run:
+    config = SearchConfig(
+        max_n=args.max_n,
+        exponent=args.exponent,
+        modulus_count=args.moduli,
+        seed=args.seed,
     )
-    text = render(manifest, results, args.format)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _search_results(report: CollisionReport) -> list:
-    return [
+    report = search(config)
+    collided = bool(report.exact_collision_pairs)
+    results = [
         {
             "config": report.config,
             "moduli": list(report.moduli),
@@ -136,30 +139,13 @@ def _search_results(report: CollisionReport) -> list:
             "exact_collision_pairs": report.exact_collision_pairs,
         }
     ]
-
-
-def cmd_search(args, started, t0) -> int:
-    try:
-        config = SearchConfig(
-            max_n=args.max_n,
-            exponent=args.exponent,
-            modulus_count=args.moduli,
-            seed=args.seed,
-        )
-        report = search(config)
-    except ValueError as exc:
-        print(f"hypharm search: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    collided = bool(report.exact_collision_pairs)
-    outcome = "exact collision found" if collided else "no exact collisions"
-    parameters = {
-        "max_n": args.max_n,
-        "exponent": args.exponent,
-        "moduli": args.moduli,
-        "seed": args.seed,
-    }
-    _emit(args, "search", parameters, _search_results(report), outcome, started, t0, report.stats)
-    return EXIT_FALSIFIED if collided else EXIT_OK
+    return Run(
+        {"max_n": args.max_n, "exponent": args.exponent, "moduli": args.moduli, "seed": args.seed},
+        results,
+        "exact collision found" if collided else "no exact collisions",
+        EXIT_FALSIFIED if collided else EXIT_OK,
+        report.stats,
+    )
 
 
 # Each lemma's box parameters: (default, least value that still leaves an
@@ -224,12 +210,8 @@ def _run_verify(args) -> tuple[list[lemmas.SweepResult], dict]:
     raise AssertionError(f"unhandled lemma {lemma}")
 
 
-def cmd_verify(args, started, t0) -> int:
-    try:
-        sweeps, params = _run_verify(args)
-    except ValueError as exc:
-        print(f"hypharm verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_verify(args) -> Run:
+    sweeps, params = _run_verify(args)
     all_hold = all(sweep.holds for sweep in sweeps)
     results = [
         {
@@ -243,21 +225,22 @@ def cmd_verify(args, started, t0) -> int:
         }
         for sweep in sweeps
     ]
-    outcome = "all instances hold" if all_hold else "falsified instances found"
-    _emit(args, "verify", {"lemma": args.lemma, **params}, results, outcome, started, t0)
-    return EXIT_OK if all_hold else EXIT_FALSIFIED
+    return Run(
+        {"lemma": args.lemma, **params},
+        results,
+        "all instances hold" if all_hold else "falsified instances found",
+        EXIT_OK if all_hold else EXIT_FALSIFIED,
+    )
 
 
-def cmd_eta(args, started, t0) -> int:
+def cmd_eta(args) -> Run:
     if args.a < 1 or args.r < 0:
-        print("hypharm eta: needs a >= 1 and r >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("needs a >= 1 and r >= 0")
     interval = Interval(args.a, args.r)
     try:
         band = eta_band_report(interval, args.precision_bits)
     except ArithmeticError as exc:
-        print(f"hypharm eta: bracketing failed: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED
+        raise Uncertified(f"bracketing failed: {exc}") from exc
     solution = band.eta
     results = [
         {
@@ -279,25 +262,27 @@ def cmd_eta(args, started, t0) -> int:
             },
         }
     ]
-    _emit(args, "eta", {"a": args.a, "r": args.r, "precision_bits": args.precision_bits},
-          results, "certified", started, t0)
-    return EXIT_OK
+    parameters = {"a": args.a, "r": args.r, "precision_bits": args.precision_bits}
+    return Run(parameters, results, "certified")
 
 
-def cmd_decompose(args, started, t0) -> int:
-    try:
-        pair = IntervalPair(Interval(args.a1, args.r), Interval(args.a2, args.s))
-    except ValueError as exc:
-        print(f"hypharm decompose: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+_PAIR_FLAGS = ("a1", "r", "a2", "s")
+
+
+def _pair(args) -> tuple[IntervalPair, dict]:
+    """The window pair of `decompose` and `reduce`, and its report parameters."""
+    parameters = {flag: getattr(args, flag) for flag in _PAIR_FLAGS}
+    return IntervalPair(Interval(args.a1, args.r), Interval(args.a2, args.s)), parameters
+
+
+def cmd_decompose(args) -> Run:
+    pair, parameters = _pair(args)
     if not pair.disjoint:
-        print(
-            "hypharm decompose: windows overlap or touch; run "
-            f"`hypharm reduce --a1 {args.a1} --r {args.r} --a2 {args.a2} --s {args.s}` "
-            "to rewrite them as a disjoint pair first",
-            file=sys.stderr,
+        flags = " ".join(f"--{flag} {value}" for flag, value in parameters.items())
+        raise ValueError(
+            f"windows overlap or touch; run `hypharm reduce {flags}` "
+            "to rewrite them as a disjoint pair first"
         )
-        return EXIT_USAGE
     # the pair is disjoint, so the chain's report carries the full decomposition
     report = lemmas.check_positivity_chain(pair)
     results = [
@@ -314,25 +299,12 @@ def cmd_decompose(args, started, t0) -> int:
             "chain_bounds": report.bounds,
         }
     ]
-    _emit(
-        args,
-        "decompose",
-        {"a1": args.a1, "r": args.r, "a2": args.a2, "s": args.s},
-        results,
-        "decomposed",
-        started,
-        t0,
-    )
-    return EXIT_OK
+    return Run(parameters, results, "decomposed")
 
 
-def cmd_reduce(args, started, t0) -> int:
-    try:
-        pair = IntervalPair(Interval(args.a1, args.r), Interval(args.a2, args.s))
-        reduced = reduce_overlap(pair)
-    except ValueError as exc:
-        print(f"hypharm reduce: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_reduce(args) -> Run:
+    pair, parameters = _pair(args)
+    reduced = reduce_overlap(pair)
     preserved = (
         g_exact(pair.first) - g_exact(pair.second)
         == g_exact(reduced.first) - g_exact(reduced.second)
@@ -345,16 +317,9 @@ def cmd_reduce(args, started, t0) -> int:
             "difference_preserved": preserved,
         }
     ]
-    _emit(
-        args,
-        "reduce",
-        {"a1": args.a1, "r": args.r, "a2": args.a2, "s": args.s},
-        results,
-        "reduced" if preserved else "difference not preserved",
-        started,
-        t0,
-    )
-    return EXIT_OK if preserved else EXIT_FALSIFIED
+    if preserved:
+        return Run(parameters, results, "reduced")
+    return Run(parameters, results, "difference not preserved", EXIT_FALSIFIED)
 
 
 _HANDLERS = {
@@ -367,21 +332,34 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "precision_bits") and not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
-        print(
-            f"hypharm {args.subcommand}: --precision-bits must lie in [1, {MAX_PRECISION_BITS}]",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:
-        return _HANDLERS[args.subcommand](args, started, t0)
-    except OSError as exc:
-        print(f"hypharm: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if hasattr(args, "precision_bits") and not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
+            raise ValueError(f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}]")
+        run = _HANDLERS[args.subcommand](args)
+        manifest = RunManifest(
+            subcommand=args.subcommand,
+            parameters=run.parameters,
+            version=__version__,
+            seed=getattr(args, "seed", None),
+            started=started,
+            finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            wall_time_s=round(time.perf_counter() - t0, 6),
+            outcome=run.outcome,
+            stats=run.stats,
+        )
+        text = render(manifest, run.results, args.format)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError, Uncertified) as exc:
+        print(f"hypharm {args.subcommand}: {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED if isinstance(exc, Uncertified) else EXIT_USAGE
+    return run.exit_code
 
 
 if __name__ == "__main__":

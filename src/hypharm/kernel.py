@@ -144,21 +144,35 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _mapped_bytes() -> int:
+    """Bytes the process has already mapped (VmSize), or 0 without /proc."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmSize:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return 0
+
+
 def require_memory(nbytes: int, what: str) -> None:
     """Raise ValueError if `what`, costing `nbytes`, would not fit in memory.
 
-    The cap is the smaller of physical memory and the process's soft
-    address-space limit (RLIMIT_AS), when one is set; the message names
-    the one that binds.  Callers ask before they allocate, so an oversized
-    table is refused with a message instead of ending in a MemoryError or
-    an out-of-memory kill.
+    The cap is the smaller of physical memory and what is left under the
+    process's soft address-space limit (RLIMIT_AS, less the VmSize already
+    mapped), when one is set; the message names the one that binds.
+    Callers ask before they allocate, so an oversized table is refused
+    with a message instead of ending in a MemoryError or an out-of-memory
+    kill.
     """
-    memory, source = physical_memory(), "physical memory"
+    memory, source = physical_memory(), "of physical memory"
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    if soft != resource.RLIM_INFINITY and soft < memory:
-        memory, source = soft, "the address-space limit (RLIMIT_AS)"
+    headroom = memory if soft == resource.RLIM_INFINITY else soft - _mapped_bytes()
+    if headroom < memory:
+        memory, source = headroom, "left under the address-space limit (RLIMIT_AS)"
     if nbytes > memory:
-        raise ValueError(f"{what} needs {nbytes} bytes, more than the {memory} bytes of {source}")
+        raise ValueError(f"{what} needs {nbytes} bytes, more than the {memory} bytes {source}")
 
 
 def _sieve_table(limit: int) -> bytearray:
@@ -175,15 +189,17 @@ def _sieve_table(limit: int) -> bytearray:
 class PrimeSieve:
     """Prime membership for 0 <= n <= limit, from one dense byte table.
 
-    The table costs one byte per integer.  A limit whose table would not
-    fit in memory (see `require_memory`) raises ValueError before anything
-    is allocated, and so does every query above `limit`.
+    The table keeps one byte per integer.  Building it peaks at 1.5 bytes
+    per integer, because the zero run that strikes out the multiples of 2
+    is live beside it, and that peak is what `require_memory` is asked
+    for: a limit that would not fit raises ValueError before anything is
+    allocated, and so does every query above `limit`.
     """
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("sieve limit must be at least 2")
-        require_memory(limit + 1, f"a prime table up to {limit}")
+        require_memory(limit + 1 + len(range(4, limit + 1, 2)), f"a prime table up to {limit}")
         self.limit = limit
         self._table = _sieve_table(limit)
 

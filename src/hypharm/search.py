@@ -73,32 +73,16 @@ def select_moduli(config: SearchConfig) -> tuple[int, ...]:
 def prefix_residues(n_max: int, p: int, exponent: int) -> list[int]:
     """prefix[n] = sum of k^-exponent mod p for k = 1..n; prefix[0] = 0.
 
-    Any window sum mod p is prefix[a+r] - prefix[a-1].  Inverses are
-    batched with the running-product trick, so the whole array costs
-    O(n_max) multiplications.
+    Any window sum mod p is prefix[a+r] - prefix[a-1].  Each term is one
+    modular power, pow(k, -exponent, p).
     """
     if p <= n_max:
         raise ValueError(f"modulus {p} must exceed the bound {n_max}")
     if not miller_rabin(p):
         raise ValueError(f"modulus {p} is not prime")
-    products = [1] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        products[k] = products[k - 1] * k % p
-    running = pow(products[n_max], -1, p)
-    inverses = [0] * (n_max + 1)
-    for k in range(n_max, 0, -1):
-        inverses[k] = running * products[k - 1] % p
-        running = running * k % p
     prefix = [0] * (n_max + 1)
-    acc = 0
     for k in range(1, n_max + 1):
-        term = inverses[k]
-        if exponent == 2:
-            term = term * term % p
-        elif exponent != 1:
-            term = pow(term, exponent, p)
-        acc = (acc + term) % p
-        prefix[k] = acc
+        prefix[k] = (prefix[k - 1] + pow(k, -exponent, p)) % p
     return prefix
 
 
@@ -118,7 +102,8 @@ def search(config: SearchConfig) -> CollisionReport:
 
     Pass 1 fills one int64 column with every window's residue modulo the
     first prime, sorts it in place and keeps the values that repeat; peak
-    memory is the column's 8 bytes per window plus a 1-byte equality mask.
+    memory is the column's 8 bytes per window plus a 1-byte equality mask,
+    beside the 8-byte prefix entries of every modulus.
     Only if some value repeats does pass 2 revisit each start, fingerprint
     the windows whose key repeats over every modulus, and group them by
     full fingerprint.
@@ -133,7 +118,10 @@ def search(config: SearchConfig) -> CollisionReport:
     t0 = time.perf_counter()
     n = config.max_n
     count = n * (n + 1) // 2
-    require_memory(8 * count, f"the residue column of {count} windows")
+    require_memory(
+        9 * count + 8 * (n + 1) * config.modulus_count,
+        f"the residue column of {count} windows and {config.modulus_count} prefix arrays",
+    )
     moduli = select_moduli(config)
     prefixes = [np.array(prefix_residues(n, p, config.exponent), dtype=np.int64) for p in moduli]
 

@@ -8,7 +8,11 @@ benchmark's sources as text, changing nothing there, and resolve each name.
 
 import ast
 import importlib
+import sys
+import types
 from pathlib import Path
+
+from hypharm.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -110,3 +114,17 @@ def test_every_name_the_bench_uses_resolves():
         if not hasattr(importlib.import_module(f"hypharm.{module}"), attribute)
     ]
     assert not missing, missing
+
+
+def test_every_bench_command_line_parses(monkeypatch):
+    # executed from its source text, so no bytecode is written under bench/;
+    # its dataclasses look their module up in sys.modules
+    path = BENCH / "workloads.py"
+    workloads = types.ModuleType("workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    steps = [step for name in workloads.NAMES for step in workloads.build(name, 0).steps]
+    argvs = [list(step.argv) for step in steps if step.argv is not None]
+    assert len(argvs) >= 10, argvs
+    for argv in argvs:
+        build_parser().parse_args(argv + ["--format", "json"])

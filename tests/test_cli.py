@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypharm.cli as cli_module
 import hypharm.kernel as kernel_module
 import hypharm.lemmas as lemmas_module
 import hypharm.search as search_module
@@ -77,22 +78,56 @@ def test_prime_boxes_beyond_physical_memory_exit_two_before_sieving(monkeypatch,
     assert "physical memory" in capsys.readouterr().err
 
 
+def run_capped(argv, address_space):
+    """Run the CLI in a child whose soft RLIMIT_AS is `address_space` bytes."""
+
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, hard))
+
+    return subprocess.run(
+        [sys.executable, "-m", "hypharm", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+    )
+
+
 def test_bertrand_beyond_the_address_space_limit_exits_two_before_sieving():
     # a 4 GB prime table does not fit under a 2 GiB RLIMIT_AS, which binds
     # on any machine with more physical memory than that; the guard must
     # refuse the table instead of letting the sieve raise MemoryError
-    def cap_address_space():
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
-
-    argv = ["verify", "--lemma", "bertrand", "--n-max", "2000000000"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypharm", *argv],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
-    )
+    proc = run_capped(["verify", "--lemma", "bertrand", "--n-max", "2000000000"], 2 << 30)
     assert proc.returncode == 2, proc.stderr
     assert "address-space limit (RLIMIT_AS)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bertrand_beyond_the_address_space_headroom_exits_two_before_sieving():
+    # the 170 MB table peaks at 255 MB while it is built: under a 256 MiB
+    # RLIMIT_AS, of which about 22 MB is mapped before the sweep starts,
+    # the guard must compare against what is left, not the whole limit
+    proc = run_capped(["verify", "--lemma", "bertrand", "--n-max", "85000000"], 256 << 20)
+    assert proc.returncode == 2, proc.stderr
+    assert "left under the address-space limit (RLIMIT_AS)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys):
+    # 10^8 prefix arrays of 1001 entries need 800 GB; no modulus may be drawn
+    def unreachable(*args):
+        raise AssertionError("search chose moduli past the memory guard")
+
+    monkeypatch.setattr(search_module, "select_moduli", unreachable)
+    assert main(["search", "--max-n", "1000", "--moduli", "100000000"]) == 2
+    assert "100000000 prefix arrays" in capsys.readouterr().err
+
+
+def test_search_guard_charges_the_equality_mask(monkeypatch, capsys):
+    # the sort's equality mask adds 1 B per window to the 8 B column, so
+    # memory for 8.5 B per window must be refused
+    count = 1000 * 1001 // 2
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 17 * count // 2)
+    assert main(["search", "--max-n", "1000"]) == 2
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
@@ -164,6 +199,42 @@ def test_flags_a_subcommand_never_reads_exit_two(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--max-n", "1"],
+        ["verify", "--lemma", "bertrand", "--n-max", "1"],
+        ["eta", "--a", "0"],
+        ["decompose", "--a1", "2", "--r", "3", "--a2", "4", "--s", "5"],
+        ["reduce", "--a1", "1", "--r", "0", "--a2", "5", "--s", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_usage_errors_exit_two_with_one_message_and_no_report(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"hypharm {argv[0]}: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing" / "out.json"
+    assert main(["verify", "--lemma", "power-sums", "--r-max", "3", "--output", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("hypharm verify: ") and str(missing) in err
+
+
+def test_eta_that_cannot_bracket_exits_one_without_a_report(monkeypatch, capsys):
+    def uncertified(interval, bits):
+        raise ArithmeticError(f"could not certify eta for {interval}")
+
+    monkeypatch.setattr(cli_module, "eta_band_report", uncertified)
+    assert main(["eta", "--a", "3", "--r", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hypharm eta: bracketing failed: could not certify eta")
 
 
 @pytest.mark.parametrize("bits", [0, -3, MAX_PRECISION_BITS + 1, 5000])

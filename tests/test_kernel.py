@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypharm.kernel
 from hypharm.kernel import (
     Enclosure,
     PrimeSieve,
@@ -180,6 +181,15 @@ def test_sieve_rejects_out_of_range_query():
         sieve.is_prime(101)
     with pytest.raises(ValueError):
         sieve.smallest_prime_in(90, 101)
+
+
+def test_sieve_guard_charges_its_build_peak(monkeypatch):
+    # the p = 2 zero run is live beside the table, so building it peaks at
+    # 1.5 B per integer; memory for 1.25 B per integer must be refused
+    limit = 100_000
+    monkeypatch.setattr(hypharm.kernel, "physical_memory", lambda: 5 * (limit + 1) // 4)
+    with pytest.raises(ValueError, match="prime table"):
+        PrimeSieve(limit)
 
 
 def test_miller_rabin_known_values():
