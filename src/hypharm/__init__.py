@@ -17,6 +17,7 @@ from .kernel import (
     sqrt_enclosure,
 )
 from .sums import (
+    CertificateError,
     Interval,
     IntervalPair,
     epsilon,
@@ -28,6 +29,7 @@ from .sums import (
 )
 
 __all__ = [
+    "CertificateError",
     "Enclosure",
     "Interval",
     "IntervalPair",

@@ -2,7 +2,8 @@
 
 Subcommands: search, verify, eta, decompose, reduce.  Exit codes: 0 when
 everything checked holds, 1 when a falsifying instance was found (for
-`search`, an exact collision would refute the headline claim), 2 on
+`search`, an exact collision would refute the headline claim) or a
+certificate could not be established (`sums.CertificateError`), 2 on
 usage errors: a flag the subcommand does not read (`--seed` exists on
 search and verify only, `--precision-bits` on verify and eta only),
 --precision-bits outside [1, MAX_PRECISION_BITS], a `verify` box that
@@ -12,12 +13,12 @@ would not fit in physical memory or under the process's address-space
 limit, or a report that cannot be written.
 
 Each `cmd_*` handler returns a `Run` (its verdict in `exit_code`), or
-raises ValueError for a usage error (`eta` raises `Uncertified` when it
-cannot bracket its window: exit 1).  `main` alone turns that into the
-report or the stderr message and the exit code.  All randomness is
-seeded, so reruns with equal parameters emit byte-identical result
-payloads; `search` adds its phase timings and screen counters to the
-manifest, not to the results.
+raises ValueError for a usage error.  `main` alone turns that, or a
+`CertificateError`, into the report or the stderr message and the exit
+code; any other exception is a bug and propagates as a traceback.  All
+randomness is seeded, so reruns with equal parameters emit byte-identical
+result payloads; `search` adds its phase timings and screen counters to
+the manifest, not to the results.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .report import RunManifest, render
 from .search import SearchConfig, search
 from .sums import (
     MAX_PRECISION_BITS,
+    CertificateError,
     Interval,
     IntervalPair,
     epsilon,
@@ -57,10 +59,6 @@ class Run:
     outcome: str
     exit_code: int = EXIT_OK
     stats: dict = field(default_factory=dict)
-
-
-class Uncertified(Exception):
-    """The run cannot certify its claim: exit 1 with a message, no report."""
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -237,10 +235,7 @@ def cmd_eta(args) -> Run:
     if args.a < 1 or args.r < 0:
         raise ValueError("needs a >= 1 and r >= 0")
     interval = Interval(args.a, args.r)
-    try:
-        band = eta_band_report(interval, args.precision_bits)
-    except ArithmeticError as exc:
-        raise Uncertified(f"bracketing failed: {exc}") from exc
+    band = eta_band_report(interval, args.precision_bits)
     solution = band.eta
     results = [
         {
@@ -356,9 +351,9 @@ def main(argv=None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError, Uncertified) as exc:
+    except (ValueError, OSError, CertificateError) as exc:
         print(f"hypharm {args.subcommand}: {exc}", file=sys.stderr)
-        return EXIT_FALSIFIED if isinstance(exc, Uncertified) else EXIT_USAGE
+        return EXIT_FALSIFIED if isinstance(exc, CertificateError) else EXIT_USAGE
     return run.exit_code
 
 

@@ -24,14 +24,11 @@ _ZERO = Fraction(0)
 
 
 class Verdict(enum.Enum):
-    """Outcome of a certified check."""
+    """Outcome of a certified check; one that cannot be certified raises
+    `sums.CertificateError` instead."""
 
     CERTIFIED = "certified"
-    INCONCLUSIVE = "inconclusive"
     FALSIFIED = "falsified"
-
-    def __bool__(self) -> bool:
-        return self is Verdict.CERTIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .kernel import (
 )
 from .sums import (
     DEFAULT_PRECISION_BITS,
+    CertificateError,
     Interval,
     IntervalPair,
     eta_band_report,
@@ -609,7 +610,8 @@ def check_bracket_identity(
     (s+1)*A1(eta1.hi) - (r+1)*A2(eta2.lo) and
     (s+1)*A1(eta1.lo) - (r+1)*A2(eta2.hi).  FALSIFIED means the exact
     right side is outside them; CERTIFIED means it is inside and they are
-    at most 2^(4 - precision_bits) apart.
+    at most 2^(4 - precision_bits) apart.  Bounds further apart raise
+    CertificateError, a guard that the width argument below never reaches.
 
     One pass: A multiplies the width of t by at most 4a+2w+2, and eta
     enclosures of width 2^-W give the left side a width of at most
@@ -630,9 +632,11 @@ def check_bracket_identity(
     high = (s + 1) * _offset_term(a1, r, eta1.lo) - (r + 1) * _offset_term(a2, s, eta2.hi)
     if not low <= rhs <= high:
         return Verdict.FALSIFIED
-    if high - low <= Fraction(2) ** (4 - precision_bits):
-        return Verdict.CERTIFIED
-    return Verdict.INCONCLUSIVE
+    if high - low > Fraction(2) ** (4 - precision_bits):
+        raise CertificateError(
+            f"bracket identity bounds for {pair} are wider than 2^{4 - precision_bits}"
+        )
+    return Verdict.CERTIFIED
 
 
 def _offset_term(a: int, w: int, eta: Fraction) -> Fraction:

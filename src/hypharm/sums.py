@@ -18,6 +18,7 @@ enclosure's two ends prove it holds the root (the whole of
 telescope_check), and two more put eta inside its epsilon bracket.  Where
 the answer is a rational comparison (the eta bands), it is decided
 exactly instead.  No floating point and no interval arithmetic is used.
+A certificate that cannot be established raises `CertificateError`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ from .kernel import Enclosure, Verdict, sqrt_enclosure
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 1024
+
+
+class CertificateError(ArithmeticError):
+    """A certificate could not be established; correct code never raises it.
+
+    Every check ends in one of three outcomes:
+
+    * a `Verdict.FALSIFIED` verdict, or a sweep failure, is a result: the
+      report lists it and the exit code is 1;
+    * `CertificateError` means nothing was proved either way: no report,
+      exit 1 and one stderr line, `hypharm <subcommand>: <message>`;
+    * an `AssertionError` from `compute_L`, `epsilon` or
+      `taylor_decompose`, or any other exception, is a bug and shows a
+      traceback.
+    """
 
 
 @dataclass(frozen=True, order=True)
@@ -171,17 +187,17 @@ def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ver
     (2n+1)^2, so the root is irrational and neither sign is ever zero.
 
     CERTIFIED means those signs plus a width <= 2^-precision_bits; a sign
-    failure is FALSIFIED.  epsilon's width is at most 2^-(p+1), so
-    INCONCLUSIVE is only a guard for a width above the tolerance.
+    failure is FALSIFIED.  epsilon's width is at most 2^-(p+1), so the
+    CertificateError for a width above the tolerance is only a guard.
     """
     if n < 1:
         raise ValueError("telescope index must be >= 1")
     eps = epsilon(n, precision_bits)
     if not _sign_change((1, -(2 * n + 1), n), eps):
         return Verdict.FALSIFIED
-    if eps.width <= Fraction(1, 1 << precision_bits):
-        return Verdict.CERTIFIED
-    return Verdict.INCONCLUSIVE
+    if eps.width > Fraction(1, 1 << precision_bits):
+        raise CertificateError(f"epsilon({n}) enclosure {eps} is wider than 2^-{precision_bits}")
+    return Verdict.CERTIFIED
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +247,7 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     >= 0, so eta.hi <= (2a+r+1)/2 < 2(a+r), below q_(a+r)'s larger root;
     so q_(a+r)(eta.hi) > 0 proves eta.hi < epsilon(a+r).  The bracket is
     about r/(8a(a+r)) wide and eta lies well inside it.  A failure of any
-    sign raises ArithmeticError.
+    sign raises CertificateError, an ArithmeticError.
     """
     a, r = interval.a, interval.r
     g = g_exact(interval)
@@ -242,13 +258,13 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     root = sqrt_enclosure(_discriminant(interval, g), w + 1)
     eta = Enclosure((2 * a + r + 1 - root.hi) / 2, (2 * a + r + 1 - root.lo) / 2)
     if not _sign_change(coeffs, eta):
-        raise ArithmeticError(
+        raise CertificateError(
             f"the product-form quadratic does not change sign across {eta} for {interval}"
         )
     b = a + r
     strict = r >= 1 and _sign((1, -2 * a - 1, a), eta.lo) < 0 < _sign((1, -2 * b - 1, b), eta.hi)
     if r >= 1 and not strict:
-        raise ArithmeticError(f"could not certify eta strictly inside the bracket for {interval}")
+        raise CertificateError(f"could not certify eta strictly inside the bracket for {interval}")
     return EtaSolution(interval, eta, g, strict)
 
 

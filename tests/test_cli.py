@@ -1,10 +1,13 @@
+import ast
 import csv
+import dataclasses
 import io
 import json
 import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +15,12 @@ import hypharm.cli as cli_module
 import hypharm.kernel as kernel_module
 import hypharm.lemmas as lemmas_module
 import hypharm.search as search_module
+import hypharm.sums as sums_module
 from hypharm.cli import _VERIFY_BOXES, main
-from hypharm.kernel import decode_dyadic
+from hypharm.kernel import Enclosure, decode_dyadic
 from hypharm.report import decode_fraction, encode_value, results_bytes
 from hypharm.search import SearchConfig, select_moduli
-from hypharm.sums import MAX_PRECISION_BITS, epsilon
+from hypharm.sums import MAX_PRECISION_BITS, CertificateError, epsilon
 
 
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
@@ -228,19 +232,66 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
 
 def test_eta_that_cannot_bracket_exits_one_without_a_report(monkeypatch, capsys):
     def uncertified(interval, bits):
-        raise ArithmeticError(f"could not certify eta for {interval}")
+        raise CertificateError(f"could not certify eta for {interval}")
 
     monkeypatch.setattr(cli_module, "eta_band_report", uncertified)
     assert main(["eta", "--a", "3", "--r", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("hypharm eta: bracketing failed: could not certify eta")
+    assert err.startswith("hypharm eta: could not certify eta")
+
+
+def test_arithmetic_bug_in_eta_is_a_traceback_not_a_verdict(monkeypatch):
+    # only CertificateError means "could not certify"; a ZeroDivisionError
+    # is an ArithmeticError too, but it is a bug and must propagate
+    def broken(interval):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(sums_module, "g_exact", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["eta", "--a", "3", "--r", "1"])
+
+
+def test_verify_that_cannot_certify_exits_one_without_a_report(monkeypatch, capsys):
+    # enclosures wider than the working precision, with their signs intact,
+    # prove nothing either way: no falsified instance may be reported
+    true_solve_eta = lemmas_module.solve_eta
+
+    def widened(interval, precision_bits):
+        solution = true_solve_eta(interval, precision_bits)
+        lo, hi, d = solution.eta.lo, solution.eta.hi, Fraction(1, 2**30)
+        return dataclasses.replace(solution, eta=Enclosure(lo - d, hi + d))
+
+    monkeypatch.setattr(lemmas_module, "solve_eta", widened)
+    assert main(["verify", "--lemma", "bracket-identity", "--pairs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hypharm verify: ") and err.count("\n") == 1, err
+
+
+_BROAD_EXCEPTIONS = {"Exception", "BaseException", "ArithmeticError"}
+
+
+def test_no_broad_exception_handlers():
+    # a broad handler turns a bug into a verdict; only named, narrow
+    # failures (CertificateError, ValueError, OSError, ...) may be caught
+    source = Path(cli_module.__file__).parent
+    offenders = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            # the last dotted component, so `builtins.Exception` counts too
+            names = {ast.unparse(c).rsplit(".", 1)[-1] for c in caught if c is not None}
+            if node.type is None or names & _BROAD_EXCEPTIONS:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 @pytest.mark.parametrize("bits", [0, -3, MAX_PRECISION_BITS + 1, 5000])
 def test_precision_bits_outside_the_ceiling_exit_two(bits, capsys):
-    # at 0 bits the bracket identity used to "hold"; at 5000 it reported
-    # inconclusive pairs and exit 1
+    # at 0 bits the bracket identity used to "hold"
     argv = ["verify", "--lemma", "bracket-identity", "--pairs", "2", "--precision-bits", str(bits)]
     assert main(argv) == 2
     assert "--precision-bits" in capsys.readouterr().err

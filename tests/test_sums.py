@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import hypharm.sums
 from hypharm.kernel import Enclosure, PrimeSieve, Verdict
 from hypharm.sums import (
+    CertificateError,
     Interval,
     IntervalPair,
     epsilon,
@@ -149,6 +150,21 @@ def test_telescope_rejects_epsilon_shifted_one_step(monkeypatch):
         assert telescope_check(n, 64) is Verdict.FALSIFIED, n
 
 
+def test_telescope_rejects_an_enclosure_wider_than_the_tolerance(monkeypatch):
+    # widened by its own width on each side, the enclosure still holds the
+    # root, so its signs pass, but it is too wide to certify anything
+    true_epsilon = hypharm.sums.epsilon
+
+    def widened(n, precision_bits):
+        enc = true_epsilon(n, precision_bits)
+        return Enclosure(enc.lo - enc.width, enc.hi + enc.width)
+
+    monkeypatch.setattr(hypharm.sums, "epsilon", widened)
+    for n in (1, 2, 100):
+        with pytest.raises(CertificateError, match="wider than"):
+            telescope_check(n, 64)
+
+
 # -- the product-form offset --
 
 
@@ -244,7 +260,22 @@ def test_solve_eta_rejects_a_root_outside_the_bracket(monkeypatch, scale):
     true_g = hypharm.sums.g_exact
     monkeypatch.setattr(hypharm.sums, "g_exact", lambda interval: scale * true_g(interval))
     for a, r in ((1, 1), (5, 3), (40, 20)):
-        with pytest.raises(ArithmeticError, match="strictly inside"):
+        with pytest.raises(CertificateError, match="strictly inside"):
+            solve_eta(Interval(a, r), 64)
+
+
+def test_solve_eta_rejects_an_enclosure_that_misses_the_root(monkeypatch):
+    # a square root moved by its own width moves eta's enclosure off the
+    # root, so the product-form quadratic has one sign across it
+    true_sqrt = hypharm.sums.sqrt_enclosure
+
+    def shifted(x, precision_bits):
+        root = true_sqrt(x, precision_bits)
+        return Enclosure(root.lo + root.width, root.hi + root.width)
+
+    monkeypatch.setattr(hypharm.sums, "sqrt_enclosure", shifted)
+    for a, r in ((1, 1), (5, 3), (40, 20), (3, 0)):
+        with pytest.raises(CertificateError, match="does not change sign"):
             solve_eta(Interval(a, r), 64)
 
 
