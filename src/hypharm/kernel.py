@@ -141,13 +141,13 @@ def physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _mapped_bytes() -> int:
-    """Bytes the process has already mapped (VmSize), or 0 without /proc."""
+def status_kb(field: str) -> int:
+    """kB value of a /proc/self/status field (VmSize, VmHWM), or 0 without /proc."""
     try:
         with open("/proc/self/status") as status:
             for line in status:
-                if line.startswith("VmSize:"):
-                    return int(line.split()[1]) * 1024
+                if line.startswith(field + ":"):
+                    return int(line.split()[1])
     except OSError:
         pass
     return 0
@@ -165,7 +165,7 @@ def require_memory(nbytes: int, what: str) -> None:
     """
     memory, source = physical_memory(), "of physical memory"
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    headroom = memory if soft == resource.RLIM_INFINITY else soft - _mapped_bytes()
+    headroom = memory if soft == resource.RLIM_INFINITY else soft - 1024 * status_kb("VmSize")
     if headroom < memory:
         memory, source = headroom, "left under the address-space limit (RLIMIT_AS)"
     if nbytes > memory:

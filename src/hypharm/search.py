@@ -6,8 +6,10 @@ arrays in O(1) per window.  Equal exact sums force equal fingerprints,
 so grouping by fingerprint and exactly confirming every nontrivial group
 can never miss a collision; the big primes merely keep false groups
 negligible.  The screen sorts a single residue column and fingerprints
-only the windows whose first residue repeats.  numpy is imported by
-`search` itself, so the other subcommands never load it.
+only the windows whose first residue repeats; the other moduli's prefix
+arrays are built only then.  numpy is imported by `search` itself, so the
+other subcommands never load it, and the screen calls nothing that loads
+numpy.ma (np.unique does).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .kernel import miller_rabin, require_memory
+from .kernel import miller_rabin, require_memory, status_kb
 from .sums import Interval, IntervalPair, window_power_sum
 
 # Residue tuple of one window across the screening moduli.  Equal exact
@@ -54,8 +56,9 @@ class CollisionReport:
     interval_count: int
     screen_collision_pairs: list[IntervalPair]
     exact_collision_pairs: list[IntervalPair]
-    # Phase timings (fill_s includes the prefix arrays) and screen
-    # counters: run metadata for the manifest, never part of the results.
+    # Phase timings (prefix_s: choosing the moduli and building their
+    # prefix arrays), screen counters and the peak RSS (peak_rss_kb, VmHWM):
+    # run metadata for the manifest, never part of the results.
     stats: dict = field(default_factory=dict)
 
 
@@ -101,12 +104,15 @@ def search(config: SearchConfig) -> CollisionReport:
     """Screen all N(N+1)/2 windows and exactly confirm every screen group.
 
     Pass 1 fills one int64 column with every window's residue modulo the
-    first prime, sorts it in place and keeps the values that repeat; peak
-    memory is the column's 8 bytes per window plus a 1-byte equality mask,
-    beside the 8-byte prefix entries of every modulus.
-    Only if some value repeats does pass 2 revisit each start, fingerprint
-    the windows whose key repeats over every modulus, and group them by
-    full fingerprint.
+    first prime (one subtraction per start, then one fix-up of the negative
+    entries over the whole column), sorts it in place and keeps the values
+    that repeat, read off the sorted column by one equality mask.  Peak
+    memory is the column's 8 bytes per window plus a 1-byte mask, beside
+    the first modulus' 8-byte prefix entries.
+    Only if some value repeats are the other moduli's prefix arrays built
+    and does pass 2 revisit each start, fingerprint the windows whose key
+    repeats over every modulus, and group them by full fingerprint.  The
+    memory guard charges those prefix arrays either way.
     Each window is enumerated once, so self-pairs never arise, and pairs
     are reported in sorted window order, so output is deterministic.
     """
@@ -123,28 +129,38 @@ def search(config: SearchConfig) -> CollisionReport:
         f"the residue column of {count} windows and {config.modulus_count} prefix arrays",
     )
     moduli = select_moduli(config)
-    prefixes = [np.array(prefix_residues(n, p, config.exponent), dtype=np.int64) for p in moduli]
 
-    def residues(start: int, column: int, out=None):
+    def prefix_array(p: int):
+        return np.array(prefix_residues(n, p, config.exponent), dtype=np.int64)
+
+    prefixes = [prefix_array(moduli[0])]
+    t_prefix = time.perf_counter()
+
+    def residues(start: int, column: int):
         # window sums mod p of {start, ..., end} for every end >= start
         prefix = prefixes[column]
-        diff = np.subtract(prefix[start:], prefix[start - 1], out=out)
+        diff = prefix[start:] - prefix[start - 1]
         return np.add(diff, moduli[column], out=diff, where=diff < 0)
 
     key = np.empty(count, dtype=np.int64)
     row0 = 0
     for start in range(1, n + 1):
         row1 = row0 + n - start + 1
-        residues(start, 0, key[row0:row1])
+        np.subtract(prefixes[0][start:], prefixes[0][start - 1], out=key[row0:row1])
         row0 = row1
+    np.add(key, moduli[0], out=key, where=key < 0)
     t_fill = time.perf_counter()
     key.sort()
-    duplicates = np.unique(key[1:][key[1:] == key[:-1]])
+    duplicates = key[1:][key[1:] == key[:-1]]
     del key
-    t_sort = time.perf_counter()
+    t_sort = t_confirm = time.perf_counter()
 
     by_print: dict[Fingerprint, list[Interval]] = {}
     if duplicates.size:
+        prefixes += [prefix_array(p) for p in moduli[1:]]
+        t_confirm = time.perf_counter()
+        # sorted, so a value's first copy is where it differs from the one before
+        duplicates = np.append(duplicates[:1], duplicates[1:][duplicates[1:] != duplicates[:-1]])
         for start in range(1, n + 1):
             first = residues(start, 0)
             hits = np.flatnonzero(np.isin(first, duplicates))
@@ -172,12 +188,14 @@ def search(config: SearchConfig) -> CollisionReport:
         screen_collision_pairs=screen_pairs,
         exact_collision_pairs=exact_pairs,
         stats={
-            "fill_s": round(t_fill - t0, 6),
+            "prefix_s": round(t_prefix - t0 + t_confirm - t_sort, 6),
+            "fill_s": round(t_fill - t_prefix, 6),
             "sort_s": round(t_sort - t_fill, 6),
-            "confirm_s": round(t_end - t_sort, 6),
+            "confirm_s": round(t_end - t_confirm, 6),
             "duplicate_keys": int(duplicates.size),
             "screen_groups": len(groups),
             "largest_group": max(map(len, groups), default=0),
             "exact_confirmations": sum(map(len, groups)),
+            "peak_rss_kb": status_kb("VmHWM"),
         },
     )

@@ -239,6 +239,8 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     w = max(p + 8, 2*bitlen(a+r) + 8).  It is certified without trusting
     the square root: the quadratic, evaluated exactly, is positive at its
     lower end and negative at its upper end (zero at both if degenerate).
+    A width above 2^-precision_bits raises CertificateError as well; since
+    w >= p + 8 that is only a guard, as in telescope_check.
 
     For r >= 1 two more exact signs put eta strictly inside
     (epsilon(a), epsilon(a+r)).  q_n(x) = x^2 - (2n+1)x + n is negative
@@ -265,6 +267,10 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     strict = r >= 1 and _sign((1, -2 * a - 1, a), eta.lo) < 0 < _sign((1, -2 * b - 1, b), eta.hi)
     if r >= 1 and not strict:
         raise CertificateError(f"could not certify eta strictly inside the bracket for {interval}")
+    if eta.width > Fraction(1, 1 << precision_bits):
+        raise CertificateError(
+            f"eta enclosure {eta} for {interval} is wider than 2^-{precision_bits}"
+        )
     return EtaSolution(interval, eta, g, strict)
 
 

@@ -140,8 +140,8 @@ def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
     document = json.loads(text)
     stats = document["manifest"]["stats"]
     assert set(stats) == {
-        "fill_s", "sort_s", "confirm_s", "duplicate_keys",
-        "screen_groups", "largest_group", "exact_confirmations",
+        "prefix_s", "fill_s", "sort_s", "confirm_s", "duplicate_keys",
+        "screen_groups", "largest_group", "exact_confirmations", "peak_rss_kb",
     }
     assert stats["screen_groups"] == stats["largest_group"] == stats["exact_confirmations"] == 0
     config = SearchConfig(max_n=120, seed=5)
@@ -267,6 +267,32 @@ def test_verify_that_cannot_certify_exits_one_without_a_report(monkeypatch, caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("hypharm verify: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "--a", "3", "--r", "1"],
+        ["verify", "--lemma", "eta-band", "--a-max", "2", "--r-max", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_eta_wider_than_the_precision_exits_one_without_a_report(monkeypatch, capsys, argv):
+    # a square root widened by 2^12 times its width on each side still
+    # holds the root, so every sign holds, but eta's enclosure is then
+    # wider than 2^-64 and certifies nothing: not a result, not a failure
+    true_sqrt = sums_module.sqrt_enclosure
+
+    def widened(x, precision_bits):
+        root = true_sqrt(x, precision_bits)
+        return Enclosure(root.lo - 4096 * root.width, root.hi + 4096 * root.width)
+
+    monkeypatch.setattr(sums_module, "sqrt_enclosure", widened)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"hypharm {argv[0]}: ") and err.count("\n") == 1, err
+    assert "wider than 2^-64" in err
 
 
 _BROAD_EXCEPTIONS = {"Exception", "BaseException", "ArithmeticError"}

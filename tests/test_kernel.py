@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hypharm.kernel import (
     miller_rabin,
     p_adic_valuation,
     sqrt_enclosure,
+    status_kb,
 )
 
 import oracles
@@ -190,6 +192,20 @@ def test_sieve_guard_charges_its_build_peak(monkeypatch):
     monkeypatch.setattr(hypharm.kernel, "physical_memory", lambda: 5 * (limit + 1) // 4)
     with pytest.raises(ValueError, match="prime table"):
         PrimeSieve(limit)
+
+
+def test_status_kb_reads_proc_or_gives_zero(monkeypatch):
+    # resident pages are mapped pages, so the resident peak is at most the
+    # mapped peak
+    if os.path.exists("/proc/self/status"):
+        assert 0 < status_kb("VmHWM") <= status_kb("VmPeak")
+    assert status_kb("NoSuchField") == 0
+
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/status")
+
+    monkeypatch.setattr(hypharm.kernel, "open", no_proc, raising=False)
+    assert status_kb("VmHWM") == status_kb("VmSize") == 0
 
 
 def test_miller_rabin_known_values():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,50 @@ def test_forced_small_moduli_screen_matches_oracle(monkeypatch, moduli, exponent
     stats = report.stats
     assert stats["screen_groups"] > 0 and stats["largest_group"] >= 2
     assert stats["exact_confirmations"] == len({window for pair in expected for window in pair})
+
+
+@pytest.mark.parametrize("exponent", [1, 2])
+@pytest.mark.parametrize("moduli", [(61,), (211, 223)], ids=["p61", "p211-p223"])
+def test_duplicate_keys_count_the_repeated_first_residues(monkeypatch, moduli, exponent):
+    # read off the sorted column, the repeats must be the distinct first
+    # residues that occur more than once, counted here term by term
+    monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
+    report = search(SearchConfig(max_n=60, exponent=exponent, modulus_count=len(moduli)))
+    counts = Counter(
+        oracles.g_mod(a, r, moduli[0], exponent) for a in range(1, 61) for r in range(61 - a)
+    )
+    assert report.stats["duplicate_keys"] == sum(1 for c in counts.values() if c > 1) > 0
+
+
+def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
+    built = []
+    true_prefix_residues = search_module.prefix_residues
+
+    def counted(n_max, p, exponent):
+        built.append(p)
+        return true_prefix_residues(n_max, p, exponent)
+
+    monkeypatch.setattr(search_module, "prefix_residues", counted)
+    report = search(SearchConfig(max_n=60, modulus_count=3, seed=0))
+    assert report.stats["duplicate_keys"] == 0
+    assert built == [report.moduli[0]]
+
+    built.clear()
+    monkeypatch.setattr(search_module, "select_moduli", lambda config: (211, 223))
+    report = search(SearchConfig(max_n=60, modulus_count=2))
+    assert report.stats["duplicate_keys"] > 0
+    assert built == [211, 223]
+
+
+def test_search_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma (about 16 ms) on its first call
+    probe = (
+        "import sys; from hypharm.search import SearchConfig, search; "
+        "search(SearchConfig(max_n=50)); print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_confirm_exact_examples():
