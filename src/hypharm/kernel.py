@@ -13,10 +13,12 @@ in physical memory or under the process's address-space limit.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import os
 import resource
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +44,26 @@ def is_dyadic(x: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
+def unlimited_digits(func):
+    """func, run with the int/str conversion limit of CPython 3.10.7+
+    (4,300 digits by default) lifted and then restored: reports are
+    lossless at any size, while parsing user input keeps the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return func
+
+    @functools.wraps(func)
+    def lifted(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return lifted
+
+
+@unlimited_digits
 def encode_dyadic(x: Fraction) -> str:
     """Render a dyadic rational as 'm*2^e'."""
     if not is_dyadic(x):
@@ -50,6 +72,7 @@ def encode_dyadic(x: Fraction) -> str:
     return f"{x.numerator}*2^{-e}"
 
 
+@unlimited_digits
 def decode_dyadic(text: str) -> Fraction:
     m_str, e_str = text.split("*2^")
     m, e = int(m_str), int(e_str)

@@ -379,9 +379,6 @@ class EquivalenceReport:
     def holds(self) -> bool:
         return self.integer_form
 
-    def __bool__(self) -> bool:
-        return self.equivalent
-
 
 def check_eq11_equivalence(pair: IntervalPair) -> EquivalenceReport:
     """Exact check that the integer identity, its completed-square form and
@@ -522,40 +519,32 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
+def _chain_hypothesis_failures(pair: IntervalPair) -> tuple[str, ...]:
+    """The names of the chain's hypotheses that a disjoint pair fails."""
+    a2, s = pair.second.a, pair.second.r
+    hypotheses = (
+        ("s > r", s > pair.first.r),
+        ("necessary-identity", check_necessary_identity(pair)),
+        ("a2 >= 4(s+1)^3", a2 >= 4 * (s + 1) ** 3),
+    )
+    return tuple(name for name, holds in hypotheses if not holds)
+
+
 def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
     """Certify the sign chain ruling out equal sums, under its hypotheses.
 
-    Hypotheses: s > r, disjoint windows, the necessary identity, and
-    a2 >= 4(s+1)^3.  When any fails the report names it and no bound is
-    evaluated.  When all hold, every intermediate bound and the final
-    positivity of the difference are certified by exact comparison.
+    Disjoint windows only (ValueError otherwise).  Hypotheses: s > r, the
+    necessary identity and a2 >= 4(s+1)^3.  When any fails the report names
+    it and no bound is evaluated.  When all hold, every intermediate bound
+    and the final positivity of the difference are certified exactly.
     """
+    report = taylor_decompose(pair)
+    failures = _chain_hypothesis_failures(pair)
+    if failures:
+        return replace(report, hypothesis_failures=failures)
+
     a1, r = pair.first.a, pair.first.r
     a2, s = pair.second.a, pair.second.r
-    failures = []
-    if not s > r:
-        failures.append("s > r")
-    if not pair.disjoint:
-        failures.append("a2 > a1 + r")
-    if not check_necessary_identity(pair):
-        failures.append("necessary-identity")
-    if not a2 >= 4 * (s + 1) ** 3:
-        failures.append("a2 >= 4(s+1)^3")
-    if failures:
-        if pair.disjoint:
-            return replace(taylor_decompose(pair), hypothesis_failures=tuple(failures))
-        return DecompositionReport(
-            pair=pair,
-            L=compute_L(r, s),
-            terms=(),
-            difference=g_exact(pair.first) - g_exact(pair.second),
-            e11=check_necessary_identity(pair),
-            expansion_sums_verified=False,
-            rewrites_verified=None,
-            hypothesis_failures=tuple(failures),
-        )
-
-    report = taylor_decompose(pair)
     t = report.terms
     c1 = Fraction(2 * a1 + r, 2)
     c2 = Fraction(2 * a2 + s, 2)
@@ -754,18 +743,12 @@ def sweep_bracket_identity(
 
 
 def sweep_decompose(count: int, seed: int, max_total: int = 500) -> SweepResult:
-    result = SweepResult(
-        "decompose", {"count": count, "seed": seed, "max_total": max_total}
-    )
+    """taylor_decompose on seeded pairs; a pair fails if its power sums or rewrites do not verify."""
+    result = SweepResult("decompose", {"count": count, "seed": seed, "max_total": max_total})
     for pair in random_disjoint_pairs(count, seed, max_total):
         result.checked += 1
         report = taylor_decompose(pair)
-        ok = (
-            sum(report.terms) == report.difference
-            and report.expansion_sums_verified
-            and (report.rewrites_verified is None or report.rewrites_verified)
-        )
-        if not ok:
+        if not report.expansion_sums_verified or report.rewrites_verified is False:
             result.failures.append({"pair": str(pair)})
     return result
 
@@ -796,7 +779,7 @@ def sweep_e11_box(a_max: int, w_max: int) -> SweepResult:
         if g_exact(pair.first) == g_exact(pair.second):
             result.failures.append({"quad": (a1, r, a2, s), "reason": "equal sums"})
             continue
-        if s > r and a2 >= 4 * (s + 1) ** 3:
+        if not _chain_hypothesis_failures(pair):
             eligible.append((a1, r, a2, s))
             report = check_positivity_chain(pair)
             if not report.chain_certified:

@@ -6,7 +6,7 @@ wall time, and for `search` the phase timings and screen counters in
 `stats`); the results are pure data, so reruns with equal parameters
 produce byte-identical result encodings regardless of timing.
 Rationals are encoded as "num/den" strings, enclosure endpoints as
-"m*2^e" strings, both lossless.
+"m*2^e" strings, both losslessly, at any size.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel import Enclosure, encode_dyadic
+from .kernel import Enclosure, encode_dyadic, unlimited_digits
 
 
+@unlimited_digits
 def encode_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+@unlimited_digits
 def decode_fraction(text: str) -> Fraction:
     num, den = text.split("/")
     return Fraction(int(num), int(den))
@@ -66,6 +68,7 @@ class RunManifest:
     stats: dict = field(default_factory=dict)
 
 
+@unlimited_digits
 def results_bytes(results) -> bytes:
     """Canonical encoding of the result payload alone (determinism contract)."""
     return json.dumps(encode_value(results), sort_keys=True, separators=(",", ":")).encode()
@@ -117,6 +120,7 @@ def render_text(manifest: RunManifest, results) -> str:
     return "\n".join(lines) + "\n"
 
 
+@unlimited_digits
 def render(manifest: RunManifest, results, fmt: str) -> str:
     if fmt == "json":
         return render_json(manifest, results)

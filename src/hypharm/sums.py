@@ -212,13 +212,12 @@ class EtaSolution:
     ``g`` is the exact window sum G(a, r), the quadratic's only input.  The
     enclosure's dyadic ends are points at which the quadratic was evaluated
     exactly with opposite signs (or a degenerate point where it vanishes).
-    ``strict_inside`` certifies epsilon(a) < eta < epsilon(a+r), for r >= 1.
+    solve_eta certifies width <= 2^-p and, for r >= 1, epsilon(a) < eta < epsilon(a+r).
     """
 
     interval: Interval
     eta: Enclosure
     g: Fraction
-    strict_inside: bool
 
 
 def _discriminant(interval: Interval, g: Fraction) -> Fraction:
@@ -264,14 +263,13 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
             f"the product-form quadratic does not change sign across {eta} for {interval}"
         )
     b = a + r
-    strict = r >= 1 and _sign((1, -2 * a - 1, a), eta.lo) < 0 < _sign((1, -2 * b - 1, b), eta.hi)
-    if r >= 1 and not strict:
+    if r >= 1 and not _sign((1, -2 * a - 1, a), eta.lo) < 0 < _sign((1, -2 * b - 1, b), eta.hi):
         raise CertificateError(f"could not certify eta strictly inside the bracket for {interval}")
     if eta.width > Fraction(1, 1 << precision_bits):
         raise CertificateError(
             f"eta enclosure {eta} for {interval} is wider than 2^-{precision_bits}"
         )
-    return EtaSolution(interval, eta, g, strict)
+    return EtaSolution(interval, eta, g)
 
 
 @dataclass(frozen=True)

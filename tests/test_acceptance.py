@@ -209,14 +209,17 @@ def band_grid():
 
 
 def test_criterion_4_eta_enclosures():
-    from hypharm.sums import solve_eta
+    from hypharm.sums import epsilon, solve_eta
 
     cap = Fraction(1, 2**64)
+    # bracket ends enclosed separately, at twice the precision of eta
+    eps = {n: epsilon(n, 128) for n in range(1, GRID_A + GRID_R + 1)}
     bad = []
     for a in range(1, GRID_A + 1):
         for r in range(0, GRID_R + 1):
-            sol = solve_eta(Interval(a, r), 64)
-            if sol.eta.width > cap or (r >= 1 and not sol.strict_inside):
+            eta = solve_eta(Interval(a, r), 64).eta
+            strict = eps[a].hi < eta.lo and eta.hi < eps[a + r].lo
+            if eta.width > cap or (r >= 1 and not strict):
                 bad.append((a, r))
     assert _line(
         "4-enclosures",

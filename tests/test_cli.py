@@ -17,10 +17,17 @@ import hypharm.lemmas as lemmas_module
 import hypharm.search as search_module
 import hypharm.sums as sums_module
 from hypharm.cli import _VERIFY_BOXES, main
-from hypharm.kernel import Enclosure, decode_dyadic
+from hypharm.kernel import Enclosure, decode_dyadic, unlimited_digits
 from hypharm.report import decode_fraction, encode_value, results_bytes
 from hypharm.search import SearchConfig, select_moduli
-from hypharm.sums import MAX_PRECISION_BITS, CertificateError, epsilon
+from hypharm.sums import (
+    MAX_PRECISION_BITS,
+    CertificateError,
+    Interval,
+    epsilon,
+    eta_band_report,
+    g_exact,
+)
 
 
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
@@ -449,6 +456,80 @@ def test_decompose_subcommand(tmp_path):
     assert result["e11"] is False
 
     assert main(["decompose", "--a1", "2", "--r", "3", "--a2", "4", "--s", "5"]) == 2
+
+
+# reports whose rationals have more than 4,300 digits, the interpreter's
+# default limit on int/str conversion: argv and the key path of the rational
+LONG_RATIONALS = {
+    "eta": (["eta", "--a", "1", "--r", "8000"], ("band", "expr_exact")),
+    "decompose": (
+        ["decompose", "--a1", "1", "--r", "5000", "--a2", "6000", "--s", "5000"],
+        ("difference",),
+    ),
+}
+
+
+def _long_rational_expected(subcommand):
+    if subcommand == "eta":
+        return eta_band_report(Interval(1, 8000)).expr_exact
+    return g_exact(Interval(1, 5000)) - g_exact(Interval(6000, 5000))
+
+
+def _long_rational_reported(text, keys):
+    value = json.loads(text)["results"][0]
+    for key in keys:
+        value = value[key]
+    return decode_fraction(value)
+
+
+def _digit_limit():
+    # interpreters before CPython 3.10.7 have no limit
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("subcommand", sorted(LONG_RATIONALS))
+def test_reports_hold_rationals_of_any_size(subcommand, tmp_path):
+    argv, keys = LONG_RATIONALS[subcommand]
+    limit = _digit_limit()
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    expected = _long_rational_expected(subcommand)
+    assert abs(expected.numerator) >= 10**4300
+    assert _long_rational_reported(text, keys) == expected
+    assert _digit_limit() == limit
+
+
+@pytest.mark.parametrize("subcommand", sorted(LONG_RATIONALS))
+def test_reports_hold_rationals_of_any_size_under_a_low_digit_limit(subcommand):
+    argv, keys = LONG_RATIONALS[subcommand]
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "hypharm", *argv, "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _long_rational_reported(proc.stdout, keys) == _long_rational_expected(subcommand)
+
+
+def test_reports_hold_integers_of_any_size(tmp_path):
+    # the reduced pair's second window starts at 10^4300, one digit past the limit
+    a1, a2 = 10**4300 - 2, 10**4300 - 1
+    argv = ["reduce", "--a1", str(a1), "--r", "1", "--a2", str(a2), "--s", "1"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    (result,) = unlimited_digits(json.loads)(text)["results"]
+    assert result["reduced"] == {"first": {"a": a1, "r": 0}, "second": {"a": 10**4300, "r": 0}}
+
+
+@pytest.mark.skipif(_digit_limit() is None, reason="no int/str digit limit on this interpreter")
+def test_user_input_keeps_the_digit_limit(tmp_path, capsys):
+    # encoding lifts the limit only while it runs, so a later parse still
+    # refuses a 5,000-digit start
+    assert run_cli(LONG_RATIONALS["eta"][0], tmp_path)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eta", "--a", "1" * 5000])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_decompose_flags_identity_solutions(tmp_path):

@@ -316,9 +316,22 @@ def test_chain_names_failed_hypotheses():
     assert g_exact(Interval(12, 3)) != g_exact(Interval(22, 19))
 
 
-def test_chain_reports_overlap_as_hypothesis_failure():
-    report = check_positivity_chain(IntervalPair(Interval(3, 6), Interval(5, 9)))
-    assert "a2 > a1 + r" in report.hypothesis_failures
+def test_chain_rejects_an_overlapping_pair():
+    # disjointness is a precondition, as in taylor_decompose: a report with
+    # no terms would not sum to the difference
+    with pytest.raises(ValueError, match="overlaps"):
+        check_positivity_chain(IntervalPair(Interval(3, 6), Interval(5, 9)))
+
+
+@pytest.mark.parametrize("verifier", ["_verify_expansion_sums", "_verify_rewrites"])
+def test_decompose_sweep_records_a_failed_verification(monkeypatch, verifier):
+    # (12, 3, 22, 19) solves the necessary identity, so both verifiers run
+    pair = IntervalPair(Interval(12, 3), Interval(22, 19))
+    monkeypatch.setattr(hypharm.lemmas, "random_disjoint_pairs", lambda *args: [pair])
+    monkeypatch.setattr(hypharm.lemmas, verifier, lambda *args: False)
+    result = sweep_decompose(1, seed=0)
+    assert result.checked == 1
+    assert result.failures == [{"pair": str(pair)}]
 
 
 # -- coefficient sign facts --

@@ -180,12 +180,10 @@ def test_solve_eta_degenerate_extent_equals_epsilon():
         sol = solve_eta(Interval(a, 0), 64)
         eps = epsilon(a, 96)
         assert not (sol.eta.hi < eps.lo or eps.hi < sol.eta.lo)
-        assert not sol.strict_inside
 
 
 def test_solve_eta_is_certified_inside_bracket():
     sol = solve_eta(Interval(1, 1), 64)
-    assert sol.strict_inside
     # independent 400-bit enclosures of the bracket ends
     assert epsilon(1, 400).hi < sol.eta.lo
     assert sol.eta.hi < epsilon(2, 400).lo
@@ -202,7 +200,6 @@ def test_solve_eta_strict_in_one_pass_for_large_starts(a, r):
     eps_low, eps_high = epsilon(a, 400), epsilon(a + r, 400)
     for bits in (1, 3, 64, 1024):
         sol = solve_eta(Interval(a, r), bits)
-        assert sol.strict_inside
         assert eps_low.hi < sol.eta.lo
         assert sol.eta.hi < eps_high.lo
         assert sol.eta.width <= Fraction(1, 2**bits)
