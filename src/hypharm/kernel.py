@@ -176,6 +176,7 @@ def status_kb(field: str) -> int:
     return 0
 
 
+@unlimited_digits
 def require_memory(nbytes: int, what: str) -> None:
     """Raise ValueError if `what`, costing `nbytes`, would not fit in memory.
 

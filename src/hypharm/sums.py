@@ -26,10 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Enclosure, Verdict, sqrt_enclosure
+from .kernel import Enclosure, Verdict, require_memory, sqrt_enclosure
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 1024
+# A window sum whose unreduced fraction is smaller than this is summed
+# without asking `require_memory`.
+_SMALL_SUM_BYTES = 1 << 20
 
 
 class CertificateError(ArithmeticError):
@@ -118,9 +121,18 @@ def _power_sum_range(lo: int, hi: int, exponent: int) -> tuple[int, int]:
 
 
 def window_power_sum(interval: Interval, exponent: int) -> Fraction:
-    """Exact reduced value of sum of 1/k^exponent over the window."""
+    """Exact reduced value of sum of 1/k^exponent over the window.
+
+    The unreduced numerator and denominator each hold at most
+    exponent * (r+1) * bit_length(a+r) bits.  A window whose fraction
+    would not fit in memory raises ValueError before anything is summed.
+    """
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
+    nbytes = exponent * interval.length * interval.end.bit_length() // 4
+    if nbytes > _SMALL_SUM_BYTES:
+        terms = interval.length.bit_length() - 1
+        require_memory(nbytes, f"the unreduced sum of a window of at least 2^{terms} terms")
     return Fraction(*_power_sum_range(interval.a, interval.end, exponent))
 
 

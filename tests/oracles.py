@@ -236,23 +236,70 @@ def exact_collision_groups(n_max: int, exponent: int = 2) -> list[list[tuple[int
     return sorted(members for members in groups.values() if len(members) > 1)
 
 
+def screen_levels(n: int, base_top: int = 64) -> tuple[list[dict], int]:
+    """The partitioned screen's levels, end by end, with trial-division primes.
+
+    From top = n down while top > base_top: with q_1 the smallest prime in
+    (top/2, top], each end b >= q_1 takes the windows [a, b] with a <= q,
+    q the level's largest prime <= b, into the end block of q, and those
+    with a > q into the gap windows.  The probes are the windows inside
+    [1, q_1 - 1] shorter than the longest gap window; the next level has
+    top = q_1 - 1.  Returns one dict per level (end block sizes by prime,
+    the longest gap window's length, gap and probe window counts) and the
+    base block's window count.
+    """
+
+    def is_prime(x: int) -> bool:
+        return x > 1 and all(x % d for d in range(2, math.isqrt(x) + 1))
+
+    levels = []
+    top = n
+    while top > base_top:
+        first = next(q for q in range(top // 2 + 1, top + 1) if is_prime(q))
+        ends: dict[int, int] = {}
+        gaps = longest = 0
+        for b in range(first, top + 1):
+            if is_prime(b):
+                q = b
+            ends[q] = ends.get(q, 0) + q
+            gaps += b - q
+            longest = max(longest, b - q)
+        probes = sum(first - length for length in range(1, longest))
+        levels.append(
+            {"ends": ends, "longest_gap": longest, "gap_windows": gaps, "probe_windows": probes}
+        )
+        top = first - 1
+    return levels, top * (top + 1) // 2
+
+
+def window_sums(n_max: int, exponent: int = 2) -> dict[tuple[int, int], Fraction]:
+    """Exact sum of every window (a, r) inside [1, n_max].
+
+    Each start's sums are the left fold of `window_sum_direct`, extended
+    one term at a time, so all of them cost one addition each.
+    """
+    sums = {}
+    for a in range(1, n_max + 1):
+        value = Fraction(0)
+        for r in range(n_max - a + 1):
+            value += Fraction(1, (a + r) ** exponent)
+            sums[a, r] = value
+    return sums
+
+
 def screen_collision_pairs(
     n_max: int, moduli: tuple[int, ...], exponent: int = 2
 ) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Every pair of windows whose sums agree modulo every prime in `moduli`.
 
-    Each window's sum comes from the left fold `window_sum_direct` and is
+    Each window's sum comes from the left fold `window_sums` and is
     reduced as numerator * denominator^-1 mod p: no prefix arrays, no
     numpy.  Pairs are ((a, r), (a', r')) with (a, r) < (a', r'), sorted.
     """
     by_print: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for a in range(1, n_max + 1):
-        for r in range(n_max - a + 1):
-            value = window_sum_direct(a, r, exponent)
-            residues = tuple(
-                value.numerator * pow(value.denominator, -1, p) % p for p in moduli
-            )
-            by_print.setdefault(residues, []).append((a, r))
+    for window, value in window_sums(n_max, exponent).items():
+        residues = tuple(value.numerator * pow(value.denominator, -1, p) % p for p in moduli)
+        by_print.setdefault(residues, []).append(window)
     return sorted(
         (members[i], members[j])
         for members in by_print.values()

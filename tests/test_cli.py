@@ -29,6 +29,8 @@ from hypharm.sums import (
     g_exact,
 )
 
+import oracles
+
 
 def run_cli(args, tmp_path, name="out.json", fmt="json"):
     out = tmp_path / name
@@ -122,6 +124,25 @@ def test_bertrand_beyond_the_address_space_headroom_exits_two_before_sieving():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--a1", "1", "--r", str(10**400), "--a2", "2", "--s", str(10**400)],
+        ["eta", "--a", "1", "--r", str(10**40)],
+    ],
+    ids=["reduce", "eta"],
+)
+def test_window_too_long_to_sum_exits_two_before_summing(argv):
+    # the unreduced sum of 10^40 or more terms cannot fit in memory; it
+    # used to end in a RecursionError (reduce) or run without end (eta)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypharm", *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"hypharm {argv[0]}: the unreduced sum of a window" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys):
     # 10^8 prefix arrays of 1001 entries need 800 GB; no modulus may be drawn
     def unreachable(*args):
@@ -132,13 +153,26 @@ def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys
     assert "100000000 prefix arrays" in capsys.readouterr().err
 
 
-def test_search_guard_charges_the_equality_mask(monkeypatch, capsys):
-    # the sort's equality mask adds 1 B per window to the 8 B column, so
-    # memory for 8.5 B per window must be refused
-    count = 1000 * 1001 // 2
-    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 17 * count // 2)
+def _largest_screen_block(n):
+    levels, base = oracles.screen_levels(n)
+    return max(
+        [max(level["ends"].values()) for level in levels]
+        + [level["gap_windows"] + level["probe_windows"] for level in levels]
+        + [base]
+    )
+
+
+def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
+    # 16 B per window of the largest block (its residue and the temporary
+    # that reduces it), plus 8 B per integer up to N for each of the 3
+    # prefix arrays and 48 B for the list each is built from: one byte
+    # less is refused, and the search runs at exactly that much
+    charge = 16 * _largest_screen_block(1000) + (8 * 3 + 48) * 1001
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
-    assert "physical memory" in capsys.readouterr().err
+    assert f"needs {charge} bytes" in capsys.readouterr().err
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge)
+    assert main(["search", "--max-n", "1000"]) == 0
 
 
 def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
@@ -147,10 +181,15 @@ def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
     document = json.loads(text)
     stats = document["manifest"]["stats"]
     assert set(stats) == {
-        "prefix_s", "fill_s", "sort_s", "confirm_s", "duplicate_keys",
-        "screen_groups", "largest_group", "exact_confirmations", "peak_rss_kb",
+        "prefix_s", "fill_s", "sort_s", "confirm_s", "levels", "largest_block", "gap_windows",
+        "probe_windows", "duplicate_keys", "screen_groups", "largest_group",
+        "exact_confirmations", "peak_rss_kb",
     }
     assert stats["screen_groups"] == stats["largest_group"] == stats["exact_confirmations"] == 0
+    (level,), _ = oracles.screen_levels(120)
+    assert stats["levels"] == 1 and stats["largest_block"] == _largest_screen_block(120)
+    assert stats["gap_windows"] == level["gap_windows"] > 0
+    assert stats["probe_windows"] == level["probe_windows"] > 0
     config = SearchConfig(max_n=120, seed=5)
     expected = [
         {

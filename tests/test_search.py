@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 import hypharm.search as search_module
-from hypharm.kernel import miller_rabin
+from hypharm.kernel import miller_rabin, p_adic_valuation
 from hypharm.search import (
     SearchConfig,
+    partition,
     prefix_residues,
     search,
     select_moduli,
@@ -118,6 +120,83 @@ def test_forced_small_moduli_screen_matches_oracle(monkeypatch, moduli, exponent
     stats = report.stats
     assert stats["screen_groups"] > 0 and stats["largest_group"] >= 2
     assert stats["exact_confirmations"] == len({window for pair in expected for window in pair})
+
+
+def _screened_together(n):
+    """Whether the partition compares two windows, from `oracles.screen_levels`:
+    windows of one block, or a gap window and a shorter-than-its-level's-
+    longest-gap window below its level's first prime (a probe)."""
+    levels, _ = oracles.screen_levels(n)
+
+    def block(window):
+        a, b = window[0], window[0] + window[1]
+        for level in levels:
+            primes = list(level["ends"])
+            if b >= primes[0]:
+                held = [q for q in primes if a <= q <= b]
+                return ("end", held[-1]) if held else ("gap", level)
+        return ("base", None)
+
+    def probes(gap, window):
+        kind, level = block(gap)
+        return kind == "gap" and window[0] + window[1] < min(level["ends"]) and (
+            window[1] + 1 < level["longest_gap"]
+        )
+
+    def together(first, second):
+        return block(first) == block(second) or probes(first, second) or probes(second, first)
+
+    return together
+
+
+@pytest.mark.parametrize("exponent", [1, 2])
+@pytest.mark.parametrize(
+    "n, moduli", [(100, (1009,)), (130, (2003,)), (150, (4001, 4003))],
+    ids=["p1009", "p2003", "p4001-p4003"],
+)
+def test_partition_drops_only_valuation_separated_pairs(monkeypatch, n, moduli, exponent):
+    # Above N = 64 the screen compares only windows of one block, or a gap
+    # window with a probe, so it reports exactly those pairs that agree
+    # modulo every forced prime.  Each pair it leaves out must have unequal
+    # sums for a reason that needs no residue: a prime q <= N whose
+    # valuation tells the two denominators apart.
+    monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
+    report = search(SearchConfig(max_n=n, exponent=exponent, modulus_count=len(moduli)))
+    screened = [
+        ((p.first.a, p.first.r), (p.second.a, p.second.r)) for p in report.screen_collision_pairs
+    ]
+    expected = oracles.screen_collision_pairs(n, moduli, exponent)
+    together = _screened_together(n)
+    assert screened == [pair for pair in expected if together(*pair)]
+    assert report.exact_collision_pairs == []
+    if len(moduli) == 1:
+        assert screened and len(screened) < len(expected)
+        # a gap window of the top level against a probe below its first prime
+        first_prime = int(partition(n)[0][0].primes[0])
+        assert any((w1[0] + w1[1] < first_prime) != (w2[0] + w2[1] < first_prime) for w1, w2 in screened)
+    denominators = {window: value.denominator for window, value in oracles.window_sums(n, exponent).items()}
+    primes = [q for q in range(n, 1, -1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    for pair in set(expected).difference(screened):
+        d1, d2 = (denominators[window] for window in pair)
+        assert any(
+            (d1 % q == 0 or d2 % q == 0) and p_adic_valuation(d1, q) != p_adic_valuation(d2, q)
+            for q in primes
+        ), pair
+
+
+@pytest.mark.parametrize("n", [65, 100, 1000, 5000])
+def test_partition_covers_every_window_once(n):
+    levels, base = partition(n)
+    expected_levels, expected_base = oracles.screen_levels(n)
+    assert len(levels) == len(expected_levels) and base * (base + 1) // 2 == expected_base
+    for level, expected in zip(levels, expected_levels):
+        assert level.primes.tolist() == list(expected["ends"])
+        assert level.end_blocks.tolist() == list(expected["ends"].values())
+        assert level.gap_windows == expected["gap_windows"]
+        assert level.probe_windows == expected["probe_windows"]
+    ends = sum(int(level.end_blocks.sum()) for level in levels)
+    gaps = sum(level.gap_windows for level in levels)
+    assert ends + gaps + expected_base == n * (n + 1) // 2
 
 
 @pytest.mark.parametrize("exponent", [1, 2])

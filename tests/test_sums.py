@@ -69,6 +69,21 @@ def test_window_power_sum_matches_left_fold():
         window_power_sum(Interval(1, 1), 0)
 
 
+def test_window_power_sum_asks_the_memory_guard_only_for_large_windows(monkeypatch):
+    asked = []
+
+    def refuse(nbytes, what):
+        asked.append(nbytes)
+        raise ValueError(what)
+
+    monkeypatch.setattr(hypharm.sums, "require_memory", refuse)
+    g_exact(Interval(1, 20_000))  # an unreduced fraction of about 75 kB
+    assert asked == []
+    with pytest.raises(ValueError, match=r"at least 2\^19 terms"):
+        window_power_sum(Interval(10**6, 10**6), 3)  # about 15 MB
+    assert asked == [3 * (10**6 + 1) * (2 * 10**6).bit_length() // 4]
+
+
 # -- modular sums --
 
 
