@@ -108,7 +108,6 @@ class CollisionReport:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, eq=False)
 class Level:
     """The windows inside [1, top] that are not inside [1, q_1 - 1].
 
@@ -117,9 +116,10 @@ class Level:
     (both int64 arrays).
     """
 
-    top: int
-    primes: object
-    bounds: object
+    def __init__(self, top: int, primes):
+        np = _numpy()
+        self.top, self.primes = top, primes
+        self.bounds = np.append(primes[1:], top + 1)
 
     @property
     def end_blocks(self):
@@ -154,7 +154,7 @@ def partition(n: int) -> tuple[list[Level], int]:
     while top > _BASE_TOP:
         lo, hi = np.searchsorted(primes, [top // 2, top], side="right").tolist()
         level = primes[lo:hi]
-        levels.append(Level(top, level, np.append(level[1:], top + 1)))
+        levels.append(Level(top, level))
         top = int(level[0]) - 1
     return levels, top
 

@@ -123,8 +123,8 @@ def _power_sum_range(lo: int, hi: int, exponent: int) -> tuple[int, int]:
 def window_power_sum(interval: Interval, exponent: int) -> Fraction:
     """Exact reduced value of sum of 1/k^exponent over the window.
 
-    The unreduced numerator and denominator each hold at most
-    exponent * (r+1) * bit_length(a+r) bits.  A window whose fraction
+    The unreduced numerator and denominator hold about
+    exponent * (r+1) * bit_length(a+r) bits each.  A window whose fraction
     would not fit in memory raises ValueError before anything is summed.
     """
     if exponent < 1:
