@@ -7,73 +7,25 @@ so grouping by fingerprint and exactly confirming every nontrivial group
 can never miss a collision; the big primes merely keep false groups
 negligible.
 
-The windows are screened block by block, never all at once, by the
-valuation argument of Erdős and Niven.  A prime q in (M/2, M] divides at
-most one term of a window inside [1, M], so the q-adic valuation of the
-window's sum is -e (e the exponent) if the window holds q and at least 0
-if not: two windows that q separates never have equal sums.  `partition`
-splits the windows level by level, from M = N down, with q_1 < ... < q_k
-the primes in (M/2, M]:
-
-* the end block of q_j, the windows [a, b] with a <= q_j <= b < q_{j+1}
-  (q_{k+1} = M + 1), is screened on its own;
-* the gap windows, which lie above q_1 and hold none of the primes, are
-  screened together, and against the probe windows: those inside
-  [1, q_1 - 1] that are shorter than the longest gap window.  A probe ends
-  before every gap window starts, so each of its terms is larger, and it
-  can equal a gap window only if it has fewer terms;
-* the windows inside [1, q_1 - 1] form the next level, M = q_1 - 1.
-
-Below M = 64 the rest is one base block.  So memory is set by the largest
-block, about N times the largest prime gap below N, not by the
-N(N+1)/2 windows.
-
-Inside a block the screen sorts the residues modulo the first prime and
-fingerprints only the windows whose first residue repeats; the other
-moduli's prefix arrays are built only then.  numpy is imported by
-`search` itself, so the other subcommands never load it, and the screen
-calls nothing that loads numpy.ma (np.unique does).
+The windows are screened block by block, never all at once (`screen`):
+a prime q in (M/2, M] separates the windows inside [1, M] that hold it
+from those that do not, so memory is set by the largest block, about N
+times the largest prime gap below N, not by the N(N+1)/2 windows.  The
+screen and numpy are loaded by `search` itself, so the other subcommands
+neither load numpy nor compile the screen.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .kernel import PrimeSieve, miller_rabin, require_memory, status_kb
-from .sums import Interval, IntervalPair, window_power_sum
-
-# Residue tuple of one window across the screening moduli.  Equal exact
-# sums imply equal fingerprints (each component is the sum mod p).
-Fingerprint = tuple[int, ...]
+from .kernel import miller_rabin, require_memory, status_kb
+from .sums import IntervalPair, window_power_sum
 
 _MODULUS_LOW = 1 << 61
 _MODULUS_HIGH = 1 << 62
-
-# The windows inside [1, M] form one base block once M is at most this.
-_BASE_TOP = 64
-# Memory charged per window of the largest block: its 8-byte residue and
-# the 8-byte temporary that reduces it mod p.  The gap block's lookups
-# (17 bytes per gap window) stay below that, because its probes, which
-# need only their 8 bytes, outnumber its gap windows.
-_BLOCK_BYTES = 16
-# Memory charged per integer up to N besides the 8-byte prefix entries:
-# the list of Python ints each prefix array is built from (48 bytes an
-# entry).  It also covers the scratch of one run of windows, at most 30
-# bytes an integer.
-_SCRATCH_BYTES = 48
-
-
-def _numpy():
-    # The search uses no BLAS; this keeps OpenBLAS from starting idle
-    # worker threads that burn CPU while numpy loads.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy
-
-    return numpy
 
 
 @dataclass(frozen=True)
@@ -108,57 +60,6 @@ class CollisionReport:
     stats: dict = field(default_factory=dict)
 
 
-class Level:
-    """The windows inside [1, top] that are not inside [1, q_1 - 1].
-
-    `primes` holds q_1 < ... < q_k, the primes in (top/2, top], and
-    `bounds` the next one after each, q_{j+1}, with q_{k+1} = top + 1
-    (both int64 arrays).
-    """
-
-    def __init__(self, top: int, primes):
-        np = _numpy()
-        self.top, self.primes = top, primes
-        self.bounds = np.append(primes[1:], top + 1)
-
-    @property
-    def end_blocks(self):
-        """Window count of each end block: q_j starts times q_{j+1} - q_j ends."""
-        return self.primes * (self.bounds - self.primes)
-
-    @property
-    def longest_gap(self) -> int:
-        """Length of the longest gap window: the most integers strictly
-        between q_j and q_{j+1}."""
-        return int((self.bounds - self.primes).max()) - 1
-
-    @property
-    def gap_windows(self) -> int:
-        gaps = self.bounds - self.primes - 1
-        return int((gaps * (gaps + 1) // 2).sum())
-
-    @property
-    def probe_windows(self) -> int:
-        """Windows inside [1, q_1 - 1] shorter than the longest gap window."""
-        shorter = max(self.longest_gap - 1, 0)
-        return shorter * int(self.primes[0]) - shorter * (shorter + 1) // 2
-
-
-def partition(n: int) -> tuple[list[Level], int]:
-    """The screen's levels for the bound n, from top = n down, and the top
-    of the base block, which holds the windows inside [1, top] (top <= 64)."""
-    np = _numpy()
-    primes = np.fromiter(PrimeSieve(n).primes(), dtype=np.int64)
-    levels = []
-    top = n
-    while top > _BASE_TOP:
-        lo, hi = np.searchsorted(primes, [top // 2, top], side="right").tolist()
-        level = primes[lo:hi]
-        levels.append(Level(top, level))
-        top = int(level[0]) - 1
-    return levels, top
-
-
 def select_moduli(config: SearchConfig) -> tuple[int, ...]:
     """Distinct ~62-bit primes > max_n, rejection-sampled from the seed."""
     rng = random.Random(config.seed)
@@ -186,187 +87,11 @@ def prefix_residues(n_max: int, p: int, exponent: int) -> list[int]:
     return prefix
 
 
-def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
-    """Pairs within `own`, and of `own` with `probes`; never of two probes."""
-    return [IntervalPair(first, second) for first, second in combinations(own, 2)] + [
-        IntervalPair(first, second) for first in own for second in probes
-    ]
-
-
-def _exact_groups(own: list[Interval], probes: list[Interval], exponent: int) -> list[tuple]:
-    """(own, probes) split by exact window sum."""
-    by_value: dict = {}
-    for side, members in enumerate((own, probes)):
-        for interval in members:
-            by_value.setdefault(window_power_sum(interval, exponent), ([], []))[side].append(interval)
-    return list(by_value.values())
-
-
-# A run of windows, (a0, count, b0, diagonal, keep): the windows [a, b] for
-# a = a0, ..., a0 + count - 1, with b = b0 on a row (one end) and
-# b = b0 + (a - a0) on a diagonal (one length), restricted to the
-# positions where the bool array `keep` is true unless it is None.
-
-
-class _Screen:
-    """Both passes over the blocks, and what they found."""
-
-    def __init__(self, config: SearchConfig, moduli: tuple[int, ...], largest_block: int):
-        self.np = _numpy()
-        self.config, self.moduli = config, moduli
-        self.prefix_s = self.fill_s = self.sort_s = self.confirm_s = 0.0
-        self.prefixes = [self._prefix_array(moduli[0])]
-        # every block's first residues are written here, one block at a time
-        self.buffer = self.np.empty(largest_block, dtype=self.np.uint64)
-        self.duplicate_keys = 0
-        self.group_sizes: list[int] = []
-        self.screen_pairs: list[IntervalPair] = []
-        self.exact_pairs: list[IntervalPair] = []
-
-    def _prefix_array(self, p: int):
-        t0 = time.perf_counter()
-        array = self.np.array(prefix_residues(self.config.max_n, p, self.config.exponent),
-                              dtype=self.np.uint64)
-        self.prefix_s += time.perf_counter() - t0
-        return array
-
-    def _reduce(self, column: int, diff):
-        """diff mod the column's prime, in place.
-
-        diff holds differences of prefix entries, which lie in (-p, p), as
-        unsigned 64-bit integers (a negative one wrapped to 2^64 + diff), so
-        adding p wraps exactly the negative ones into [0, p): the smaller of
-        diff and diff + p is the residue.
-        """
-        np = self.np
-        return np.minimum(diff, diff + np.uint64(self.moduli[column]), out=diff)
-
-    def residues(self, column: int, a0: int, count: int, b0: int, diagonal: bool):
-        """Window sums mod the column's prime along a run (keep not applied)."""
-        prefix = self.prefixes[column]
-        ends = prefix[b0 : b0 + count] if diagonal else prefix[b0]
-        return self._reduce(column, ends - prefix[a0 - 1 : a0 - 1 + count])
-
-    def _found(self, values, needles):
-        """Which needles occur in the sorted array values."""
-        np = self.np
-        return np.take(values, np.searchsorted(values, needles), mode="clip") == needles
-
-    def _repeated(self, keys):
-        """Sort keys in place; the values that occur more than once (with repeats)."""
-        t0 = time.perf_counter()
-        keys.sort()
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        self.sort_s += time.perf_counter() - t0
-        return repeated
-
-    def end_block(self, q: int, bound: int) -> None:
-        """The windows [a, b] with 1 <= a <= q <= b < bound, as one outer
-        difference of prefix entries in [b, a] orientation."""
-        np = self.np
-        t0 = time.perf_counter()
-        keys = self.buffer[: (bound - q) * q]
-        np.subtract.outer(self.prefixes[0][q:bound], self.prefixes[0][:q],
-                          out=keys.reshape(bound - q, q))
-        self._reduce(0, keys)
-        self.fill_s += time.perf_counter() - t0
-        repeated = self._repeated(keys)
-        if repeated.size:
-            self._confirm(repeated, [(1, q, b, False, None) for b in range(q, bound)])
-
-    def _filled(self, runs, start: int, size: int):
-        """The first residues of the runs' kept windows, in buffer[start:start + size]."""
-        t0 = time.perf_counter()
-        keys = self.buffer[start : start + size]
-        filled = 0
-        for a0, count, b0, diagonal, keep in runs:
-            run = self.residues(0, a0, count, b0, diagonal)
-            if keep is not None:
-                run = run[keep]
-            keys[filled : filled + run.size] = run
-            filled += run.size
-        self.fill_s += time.perf_counter() - t0
-        return keys
-
-    def gap_block(self, level: Level) -> None:
-        """The level's gap windows, among themselves and against its probes."""
-        np = self.np
-        q1, top, longest = int(level.primes[0]), level.top, level.longest_gap
-        starts = np.arange(q1 + 1, top + 1)
-        # room[a - q1 - 1]: how many of a, a+1, ... come before the next prime
-        room = level.bounds[np.searchsorted(level.bounds, starts)] - starts
-        del starts
-
-        def gap_runs():
-            for length in range(1, longest + 1):
-                count = top - q1 - length + 1
-                yield q1 + 1, count, q1 + length, True, room[:count] >= length
-
-        probe_runs = [(1, q1 - length, length, True, None) for length in range(1, longest)]
-        keys = self._filled(gap_runs(), 0, level.gap_windows)
-        probes = self._filled(probe_runs, keys.size, level.probe_windows)
-        repeated = self._repeated(keys)
-        t0 = time.perf_counter()
-        probes.sort()
-        if probes.size:
-            # sorted needles, so each binary search starts where the last ended
-            repeated = np.concatenate((repeated, keys[self._found(probes, keys)]))
-        self.sort_s += time.perf_counter() - t0
-        if repeated.size:
-            self._confirm(repeated, gap_runs(), probe_runs)
-
-    def base_block(self, top: int) -> None:
-        """Every window inside [1, top], one row per end."""
-        runs = [(1, b, b, False, None) for b in range(1, top + 1)]
-        repeated = self._repeated(self._filled(runs, 0, top * (top + 1) // 2))
-        if repeated.size:
-            self._confirm(repeated, runs)
-
-    def _confirm(self, repeated, own_runs, probe_runs=()) -> None:
-        """Group the runs' windows whose first residue is repeated by full
-        fingerprint, and confirm every group exactly."""
-        np = self.np
-        t0 = time.perf_counter()
-        repeated.sort()
-        # sorted, so a value's first copy is where it differs from the one before
-        repeats = repeated[np.concatenate(([True], repeated[1:] != repeated[:-1]))]
-        self.duplicate_keys += repeats.size
-        if len(self.prefixes) < len(self.moduli):
-            self.prefixes += [self._prefix_array(p) for p in self.moduli[1:]]
-        by_print: dict[Fingerprint, tuple[list[Interval], list[Interval]]] = {}
-        for side, runs in enumerate((own_runs, probe_runs)):
-            for a0, count, b0, diagonal, keep in runs:
-                first = self.residues(0, a0, count, b0, diagonal)
-                hit = self._found(repeats, first)
-                if keep is not None:
-                    hit &= keep
-                hits = np.flatnonzero(hit)
-                if not hits.size:
-                    continue
-                columns = [first[hits]] + [
-                    self.residues(c, a0, count, b0, diagonal)[hits]
-                    for c in range(1, len(self.moduli))
-                ]
-                for i, offset in enumerate(hits.tolist()):
-                    a = a0 + offset
-                    b = b0 + offset if diagonal else b0
-                    fingerprint = tuple(int(column[i]) for column in columns)
-                    by_print.setdefault(fingerprint, ([], []))[side].append(Interval(a, b - a))
-        for own, probes in by_print.values():
-            pairs = _pairs(own, probes)
-            if pairs:
-                self.screen_pairs += pairs
-                self.group_sizes.append(len(own) + len(probes))
-                for group in _exact_groups(own, probes, self.config.exponent):
-                    self.exact_pairs += _pairs(*group)
-        self.confirm_s += time.perf_counter() - t0
-
-
 def search(config: SearchConfig) -> CollisionReport:
     """Screen all N(N+1)/2 windows and exactly confirm every screen group.
 
-    The windows are split into blocks by `partition`; only windows of one
-    block, or a gap window and one of its probes, are ever compared.
+    The windows are split into blocks by `screen.partition`; only windows
+    of one block, or a gap window and one of its probes, are ever compared.
     Pass 1 writes a block's residues modulo the first prime into one
     buffer sized for the largest block (an end block as one outer
     difference of prefix entries), sorts them in place and reads off the
@@ -383,49 +108,47 @@ def search(config: SearchConfig) -> CollisionReport:
     windows, so no pair is screened twice; pairs are reported in sorted
     window order, so output is deterministic.
     """
-    _numpy()
+    from . import screen  # compiled only when a search runs
+
+    np = screen.load_numpy()
     t0 = time.perf_counter()
     n, m = config.max_n, config.modulus_count
-    levels, base = partition(n)
-    largest = max(
-        [int(level.end_blocks.max()) for level in levels]
-        + [level.gap_windows + level.probe_windows for level in levels]
-        + [base * (base + 1) // 2]
-    )
-    require_memory(
-        _BLOCK_BYTES * largest + (8 * m + _SCRATCH_BYTES) * (n + 1),
-        f"the largest screen block of {largest} windows and {m} prefix arrays",
-    )
+    levels, base = screen.partition(n)
+    largest, nbytes = screen.memory_charge(levels, base, n, m)
+    require_memory(nbytes, f"the largest screen block of {largest} windows and {m} prefix arrays")
     moduli = select_moduli(config)
     t_setup = time.perf_counter()
-    screen = _Screen(config, moduli, largest)
-    for level in levels:
-        for q, bound in zip(level.primes.tolist(), level.bounds.tolist()):
-            screen.end_block(q, bound)
-        screen.gap_block(level)
-    screen.base_block(base)
-    screen.screen_pairs.sort(key=lambda q: (q.first, q.second))
-    screen.exact_pairs.sort(key=lambda q: (q.first, q.second))
+
+    def prefix_array(p: int):
+        return np.array(prefix_residues(n, p, config.exponent), dtype=np.uint64)
+
+    def exact_sum(interval):
+        return window_power_sum(interval, config.exponent)
+
+    blocks = screen.BlockScreen(moduli, largest, prefix_array, exact_sum)
+    blocks.run(levels, base)
+    blocks.screen_pairs.sort(key=lambda q: (q.first, q.second))
+    blocks.exact_pairs.sort(key=lambda q: (q.first, q.second))
 
     return CollisionReport(
         config=config,
         moduli=moduli,
         interval_count=n * (n + 1) // 2,
-        screen_collision_pairs=screen.screen_pairs,
-        exact_collision_pairs=screen.exact_pairs,
+        screen_collision_pairs=blocks.screen_pairs,
+        exact_collision_pairs=blocks.exact_pairs,
         stats={
-            "prefix_s": round(t_setup - t0 + screen.prefix_s, 6),
-            "fill_s": round(screen.fill_s, 6),
-            "sort_s": round(screen.sort_s, 6),
-            "confirm_s": round(screen.confirm_s, 6),
+            "prefix_s": round(t_setup - t0 + blocks.prefix_s, 6),
+            "fill_s": round(blocks.fill_s, 6),
+            "sort_s": round(blocks.sort_s, 6),
+            "confirm_s": round(blocks.confirm_s, 6),
             "levels": len(levels),
             "largest_block": largest,
             "gap_windows": sum(level.gap_windows for level in levels),
             "probe_windows": sum(level.probe_windows for level in levels),
-            "duplicate_keys": screen.duplicate_keys,
-            "screen_groups": len(screen.group_sizes),
-            "largest_group": max(screen.group_sizes, default=0),
-            "exact_confirmations": sum(screen.group_sizes),
+            "duplicate_keys": blocks.duplicate_keys,
+            "screen_groups": len(blocks.group_sizes),
+            "largest_group": max(blocks.group_sizes, default=0),
+            "exact_confirmations": sum(blocks.group_sizes),
             "peak_rss_kb": status_kb("VmHWM"),
         },
     )

@@ -10,9 +10,9 @@ import pytest
 
 import hypharm.search as search_module
 from hypharm.kernel import miller_rabin, p_adic_valuation
+from hypharm.screen import partition
 from hypharm.search import (
     SearchConfig,
-    partition,
     prefix_residues,
     search,
     select_moduli,
