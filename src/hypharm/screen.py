@@ -178,7 +178,7 @@ class BlockScreen:
         np = self.np
         return np.minimum(diff, diff + np.uint64(self.moduli[column]), out=diff)
 
-    def residues(self, column: int, a0: int, count: int, b0: int, diagonal: bool):
+    def _residues(self, column: int, a0: int, count: int, b0: int, diagonal: bool):
         """Window sums mod the column's prime along a run (keep not applied)."""
         prefix = self.prefixes[column]
         ends = prefix[b0 : b0 + count] if diagonal else prefix[b0]
@@ -217,7 +217,7 @@ class BlockScreen:
         keys = self.buffer[start : start + size]
         filled = 0
         for a0, count, b0, diagonal, keep in runs:
-            run = self.residues(0, a0, count, b0, diagonal)
+            run = self._residues(0, a0, count, b0, diagonal)
             if keep is not None:
                 run = run[keep]
             keys[filled : filled + run.size] = run
@@ -273,7 +273,7 @@ class BlockScreen:
         by_print: dict[Fingerprint, tuple[list[Interval], list[Interval]]] = {}
         for side, runs in enumerate((own_runs, probe_runs)):
             for a0, count, b0, diagonal, keep in runs:
-                first = self.residues(0, a0, count, b0, diagonal)
+                first = self._residues(0, a0, count, b0, diagonal)
                 hit = self._found(repeats, first)
                 if keep is not None:
                     hit &= keep
@@ -281,7 +281,7 @@ class BlockScreen:
                 if not hits.size:
                     continue
                 columns = [first[hits]] + [
-                    self.residues(c, a0, count, b0, diagonal)[hits]
+                    self._residues(c, a0, count, b0, diagonal)[hits]
                     for c in range(1, len(self.moduli))
                 ]
                 for i, offset in enumerate(hits.tolist()):
