@@ -277,7 +277,7 @@ def cmd_decompose(args) -> Run:
             "L": report.L,
             "terms": list(report.terms),
             "difference": report.difference,
-            "sum_matches_difference": True,  # asserted by taylor_decompose
+            "sum_matches_difference": True,  # terms[6] is the residual, by construction
             "e11": report.e11,
             "expansion_sums_verified": report.expansion_sums_verified,
             "rewrites_verified": report.rewrites_verified,

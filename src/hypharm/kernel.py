@@ -176,13 +176,13 @@ def status_kb(field: str) -> int:
     return 0
 
 
-@unlimited_digits
 def require_memory(nbytes: int, what: str) -> None:
     """Raise ValueError if `what`, costing `nbytes`, would not fit in memory.
 
     The cap is the smaller of physical memory and what is left under the
     process's soft address-space limit (RLIMIT_AS, less the VmSize already
-    mapped), when one is set; the message names the one that binds.
+    mapped), when one is set; the message names the one that binds, and
+    names a cost of 2^64 bytes or more by the power of two below it.
     Callers ask before they allocate, so an oversized table is refused
     with a message instead of ending in a MemoryError or an out-of-memory
     kill.
@@ -193,7 +193,8 @@ def require_memory(nbytes: int, what: str) -> None:
     if headroom < memory:
         memory, source = headroom, "left under the address-space limit (RLIMIT_AS)"
     if nbytes > memory:
-        raise ValueError(f"{what} needs {nbytes} bytes, more than the {memory} bytes {source}")
+        needs = nbytes if nbytes < 1 << 64 else f"at least 2^{nbytes.bit_length() - 1}"
+        raise ValueError(f"{what} needs {needs} bytes, more than the {memory} bytes {source}")
 
 
 def _sieve_table(limit: int) -> bytearray:

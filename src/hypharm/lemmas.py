@@ -412,7 +412,7 @@ class DecompositionReport:
     """The seven difference terms of G(a1, r) - G(a2, s) and their checks.
 
     terms[0..5] are exact closed forms; terms[6] is the exact residual, so
-    the seven always sum to the difference by construction (asserted).
+    the seven always sum to the difference by construction.
     ``bounds`` is populated by the positivity chain when all of its
     hypotheses hold; otherwise ``hypothesis_failures`` names what failed.
     """
@@ -499,8 +499,6 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
         raise ValueError(f"{pair} overlaps; reduce it to a disjoint pair first")
     r, s = pair.first.r, pair.second.r
     terms, difference = _decomposition_terms(pair)
-    if sum(terms) != difference:
-        raise AssertionError(f"residual bookkeeping broke for {pair}")
     gap = compute_L(r, s)
     e11 = check_necessary_identity(pair)
     return DecompositionReport(
@@ -674,8 +672,9 @@ def sweep_eta_grid(
     The quadratic-form upper side is false as stated: it first fails at
     a=1, r=1 (value 2/5, bound 3/8).  On a <= 100, 0 <= r <= 50 it fails
     at 882 of the 5,100 points, all with a <= r; for each r the failing
-    starts are a = 1, ..., f(r), with f(r) close to 2(r+1)/3.  The lower
-    side and the bracket band hold on that whole grid.
+    starts are a = 1, ..., f(r), with f(r) the nearest integer to
+    2(r+1)/3, except f(0) = 0 and f(3) = 2.  The lower side and the
+    bracket band hold on that whole grid.
     """
     params = {"a_max": a_max, "r_max": r_max, "precision_bits": precision_bits}
     enclosures = SweepResult("eta-enclosure", dict(params))

@@ -16,15 +16,19 @@ M = N down, with q_1 < ... < q_k the primes in (M/2, M]:
   can equal a gap window only if it has fewer terms;
 * the windows inside [1, q_1 - 1] form the next level, M = q_1 - 1.
 
-Below M = 64 the rest is one base block.  So memory is set by the largest
-block, about N times the largest prime gap below N, not by the
-N(N+1)/2 windows.
+By Bertrand's postulate every level down to M = 2 has such a prime, and
+q_1 = 2 at the last one, so the levels take every window but [1, 1].
+That one needs no block: at M = 2 the prime 2 separates it from [1, 2]
+and [2, 2], and at every higher level it is either separated by valuation
+or a probe.  So memory is set by the largest block, about N times the
+largest prime gap below N, not by the N(N+1)/2 windows.
 
-Inside a block `BlockScreen` sorts the residues modulo the first prime
-and fingerprints only the windows whose first residue repeats; the other
-moduli's prefix arrays are built only then.  It calls nothing that loads
-numpy.ma (np.unique does).  `search` imports this module when it runs, so
-the other subcommands neither load numpy nor compile the screen.
+Inside a block `BlockScreen` sorts the residues modulo the first prime.
+Only if one repeats does it walk the block's windows one by one and
+fingerprint those whose first residue repeats; the other moduli's prefix
+arrays are built only then.  It calls nothing that loads numpy.ma
+(np.unique does).  `search` imports this module when it runs, so the
+other subcommands neither load numpy nor compile the screen.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ from .sums import Interval, IntervalPair
 # sums imply equal fingerprints (each component is the sum mod p).
 Fingerprint = tuple[int, ...]
 
-# The windows inside [1, M] form one base block once M is at most this.
-_BASE_TOP = 64
 # Memory charged per window of the largest block: its 8-byte residue and
-# the 8-byte temporary that reduces it mod p.  The gap block's lookups
-# (17 bytes per gap window) stay below that, because its probes, which
-# need only their 8 bytes, outnumber its gap windows.
+# the 8-byte temporary that reduces it mod p.  A gap block holds 8 bytes
+# per gap window and per probe, and its probe lookup 17 bytes more per gap
+# window, so it stays within the charge while
+# 25 * gap windows + 8 * probes <= 16 * (largest block), which holds at
+# every level (the partition tests check it).
 _BLOCK_BYTES = 16
 # Memory charged per integer up to N besides the 8-byte prefix entries:
 # the list of Python ints each prefix array is built from (48 bytes an
@@ -98,26 +102,24 @@ class Level:
         return shorter * int(self.primes[0]) - shorter * (shorter + 1) // 2
 
 
-def partition(n: int) -> tuple[list[Level], int]:
-    """The screen's levels for the bound n, from top = n down, and the top
-    of the base block, which holds the windows inside [1, top] (top <= 64)."""
+def partition(n: int) -> list[Level]:
+    """The screen's levels for the bound n, from top = n down to top = 2."""
     np = load_numpy()
     primes = np.fromiter(PrimeSieve(n).primes(), dtype=np.int64)
     levels = []
     top = n
-    while top > _BASE_TOP:
+    while top > 1:
         lo, hi = np.searchsorted(primes, [top // 2, top], side="right").tolist()
         levels.append(Level(top, primes[lo:hi]))
         top = int(primes[lo]) - 1
-    return levels, top
+    return levels
 
 
-def memory_charge(levels: list[Level], base: int, n: int, modulus_count: int) -> tuple[int, int]:
+def memory_charge(levels: list[Level], n: int, modulus_count: int) -> tuple[int, int]:
     """(windows of the largest block, bytes the screen needs) for the bound n."""
     largest = max(
         [int(level.end_blocks.max()) for level in levels]
         + [level.gap_windows + level.probe_windows for level in levels]
-        + [base * (base + 1) // 2]
     )
     return largest, _BLOCK_BYTES * largest + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
 
@@ -129,10 +131,9 @@ def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
     ]
 
 
-# A run of windows, (a0, count, b0, diagonal, keep): the windows [a, b] for
-# a = a0, ..., a0 + count - 1, with b = b0 on a row (one end) and
-# b = b0 + (a - a0) on a diagonal (one length), restricted to the
-# positions where the bool array `keep` is true unless it is None.
+# A run of windows, (a0, count, length, keep): the windows of that length
+# starting at a = a0, ..., a0 + count - 1, restricted to the positions
+# where the bool array `keep` is true unless it is None.
 
 
 class BlockScreen:
@@ -154,12 +155,11 @@ class BlockScreen:
         self.screen_pairs: list[IntervalPair] = []
         self.exact_pairs: list[IntervalPair] = []
 
-    def run(self, levels: list[Level], base: int) -> None:
+    def run(self, levels: list[Level]) -> None:
         for level in levels:
             for q, bound in zip(level.primes.tolist(), level.bounds.tolist()):
                 self.end_block(q, bound)
             self.gap_block(level)
-        self.base_block(base)
 
     def _prefix(self, p: int):
         t0 = time.perf_counter()
@@ -167,8 +167,8 @@ class BlockScreen:
         self.prefix_s += time.perf_counter() - t0
         return array
 
-    def _reduce(self, column: int, diff):
-        """diff mod the column's prime, in place.
+    def _reduce(self, diff):
+        """diff mod the first prime, in place.
 
         diff holds differences of prefix entries, which lie in (-p, p), as
         unsigned 64-bit integers (a negative one wrapped to 2^64 + diff), so
@@ -176,13 +176,13 @@ class BlockScreen:
         diff and diff + p is the residue.
         """
         np = self.np
-        return np.minimum(diff, diff + np.uint64(self.moduli[column]), out=diff)
+        return np.minimum(diff, diff + np.uint64(self.moduli[0]), out=diff)
 
-    def _residues(self, column: int, a0: int, count: int, b0: int, diagonal: bool):
-        """Window sums mod the column's prime along a run (keep not applied)."""
-        prefix = self.prefixes[column]
-        ends = prefix[b0 : b0 + count] if diagonal else prefix[b0]
-        return self._reduce(column, ends - prefix[a0 - 1 : a0 - 1 + count])
+    def _residues(self, a0: int, count: int, length: int):
+        """Window sums mod the first prime along a run (keep not applied)."""
+        prefix = self.prefixes[0]
+        b0 = a0 + length - 1
+        return self._reduce(prefix[b0 : b0 + count] - prefix[a0 - 1 : a0 - 1 + count])
 
     def _found(self, values, needles):
         """Which needles occur in the sorted array values."""
@@ -205,19 +205,19 @@ class BlockScreen:
         keys = self.buffer[: (bound - q) * q]
         np.subtract.outer(self.prefixes[0][q:bound], self.prefixes[0][:q],
                           out=keys.reshape(bound - q, q))
-        self._reduce(0, keys)
+        self._reduce(keys)
         self.fill_s += time.perf_counter() - t0
         repeated = self._repeated(keys)
         if repeated.size:
-            self._confirm(repeated, [(1, q, b, False, None) for b in range(q, bound)])
+            self._confirm(repeated, ((a, b) for b in range(q, bound) for a in range(1, q + 1)))
 
     def _filled(self, runs, start: int, size: int):
         """The first residues of the runs' kept windows, in buffer[start:start + size]."""
         t0 = time.perf_counter()
         keys = self.buffer[start : start + size]
         filled = 0
-        for a0, count, b0, diagonal, keep in runs:
-            run = self._residues(0, a0, count, b0, diagonal)
+        for a0, count, length, keep in runs:
+            run = self._residues(a0, count, length)
             if keep is not None:
                 run = run[keep]
             keys[filled : filled + run.size] = run
@@ -237,9 +237,9 @@ class BlockScreen:
         def gap_runs():
             for length in range(1, longest + 1):
                 count = top - q1 - length + 1
-                yield q1 + 1, count, q1 + length, True, room[:count] >= length
+                yield q1 + 1, count, length, room[:count] >= length
 
-        probe_runs = [(1, q1 - length, length, True, None) for length in range(1, longest)]
+        probe_runs = ((1, q1 - length, length, None) for length in range(1, longest))
         keys = self._filled(gap_runs(), 0, level.gap_windows)
         probes = self._filled(probe_runs, keys.size, level.probe_windows)
         repeated = self._repeated(keys)
@@ -250,44 +250,36 @@ class BlockScreen:
             repeated = np.concatenate((repeated, keys[self._found(probes, keys)]))
         self.sort_s += time.perf_counter() - t0
         if repeated.size:
-            self._confirm(repeated, gap_runs(), probe_runs)
+            gaps = (
+                (a, b)
+                for q, bound in zip(level.primes.tolist(), level.bounds.tolist())
+                for a in range(q + 1, bound)
+                for b in range(a, bound)
+            )
+            shorter = (
+                (a, a + length - 1)
+                for length in range(1, longest)
+                for a in range(1, q1 - length + 1)
+            )
+            self._confirm(repeated, gaps, shorter)
 
-    def base_block(self, top: int) -> None:
-        """Every window inside [1, top], one row per end."""
-        runs = [(1, b, b, False, None) for b in range(1, top + 1)]
-        repeated = self._repeated(self._filled(runs, 0, top * (top + 1) // 2))
-        if repeated.size:
-            self._confirm(repeated, runs)
-
-    def _confirm(self, repeated, own_runs, probe_runs=()) -> None:
-        """Group the runs' windows whose first residue is repeated by full
+    def _confirm(self, repeated, own_windows, probe_windows=()) -> None:
+        """Group the windows (a, b) whose first residue is repeated by full
         fingerprint, and confirm every group exactly."""
-        np = self.np
         t0 = time.perf_counter()
-        repeated.sort()
-        # sorted, so a value's first copy is where it differs from the one before
-        repeats = repeated[np.concatenate(([True], repeated[1:] != repeated[:-1]))]
-        self.duplicate_keys += repeats.size
+        repeats = set(repeated.tolist())
+        self.duplicate_keys += len(repeats)
         if len(self.prefixes) < len(self.moduli):
             self.prefixes += [self._prefix(p) for p in self.moduli[1:]]
+        p, prefix = self.moduli[0], self.prefixes[0]
         by_print: dict[Fingerprint, tuple[list[Interval], list[Interval]]] = {}
-        for side, runs in enumerate((own_runs, probe_runs)):
-            for a0, count, b0, diagonal, keep in runs:
-                first = self._residues(0, a0, count, b0, diagonal)
-                hit = self._found(repeats, first)
-                if keep is not None:
-                    hit &= keep
-                hits = np.flatnonzero(hit)
-                if not hits.size:
-                    continue
-                columns = [first[hits]] + [
-                    self._residues(c, a0, count, b0, diagonal)[hits]
-                    for c in range(1, len(self.moduli))
-                ]
-                for i, offset in enumerate(hits.tolist()):
-                    a = a0 + offset
-                    b = b0 + offset if diagonal else b0
-                    fingerprint = tuple(int(column[i]) for column in columns)
+        for side, windows in enumerate((own_windows, probe_windows)):
+            for a, b in windows:
+                if (int(prefix[b]) - int(prefix[a - 1])) % p in repeats:
+                    fingerprint = tuple(
+                        (int(column[b]) - int(column[a - 1])) % modulus
+                        for modulus, column in zip(self.moduli, self.prefixes)
+                    )
                     by_print.setdefault(fingerprint, ([], []))[side].append(Interval(a, b - a))
         for own, probes in by_print.values():
             pairs = _pairs(own, probes)

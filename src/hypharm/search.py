@@ -9,8 +9,9 @@ negligible.
 
 The windows are screened block by block, never all at once (`screen`):
 a prime q in (M/2, M] separates the windows inside [1, M] that hold it
-from those that do not, so memory is set by the largest block, about N
-times the largest prime gap below N, not by the N(N+1)/2 windows.  The
+from those that do not, and by Bertrand's postulate there is one for
+every M >= 2.  So memory is set by the largest block, about N times the
+largest prime gap below N, not by the N(N+1)/2 windows.  The
 screen and numpy are loaded by `search` itself, so the other subcommands
 neither load numpy nor compile the screen.
 """
@@ -100,12 +101,13 @@ def search(config: SearchConfig) -> CollisionReport:
     the largest block (the buffer and the temporary that reduces it mod
     p), beside 8 bytes per integer up to N for each modulus' prefix array.
     Only if some value repeats are the other moduli's prefix arrays built
-    and does pass 2 revisit the block, fingerprint the windows whose first
-    residue repeats over every modulus, and group them by full
-    fingerprint.  The memory guard charges every prefix array either way,
-    before any modulus is chosen.
-    Each window belongs to one block, and a probe is paired only with gap
-    windows, so no pair is screened twice; pairs are reported in sorted
+    and does pass 2 walk the block's windows one by one, fingerprint over
+    every modulus those whose first residue repeats, and group them by
+    full fingerprint.  The memory guard charges every prefix array either
+    way, before any modulus is chosen.
+    Each window but [1, 1] belongs to one block (that one needs none, see
+    `screen`), and a probe is paired only with gap windows, so no pair is
+    screened twice; pairs are reported in sorted
     window order, so output is deterministic.
     """
     from . import screen  # compiled only when a search runs
@@ -113,8 +115,8 @@ def search(config: SearchConfig) -> CollisionReport:
     np = screen.load_numpy()
     t0 = time.perf_counter()
     n, m = config.max_n, config.modulus_count
-    levels, base = screen.partition(n)
-    largest, nbytes = screen.memory_charge(levels, base, n, m)
+    levels = screen.partition(n)
+    largest, nbytes = screen.memory_charge(levels, n, m)
     require_memory(nbytes, f"the largest screen block of {largest} windows and {m} prefix arrays")
     moduli = select_moduli(config)
     t_setup = time.perf_counter()
@@ -126,7 +128,7 @@ def search(config: SearchConfig) -> CollisionReport:
         return window_power_sum(interval, config.exponent)
 
     blocks = screen.BlockScreen(moduli, largest, prefix_array, exact_sum)
-    blocks.run(levels, base)
+    blocks.run(levels)
     blocks.screen_pairs.sort(key=lambda q: (q.first, q.second))
     blocks.exact_pairs.sort(key=lambda q: (q.first, q.second))
 

@@ -44,9 +44,8 @@ class CertificateError(ArithmeticError):
       report lists it and the exit code is 1;
     * `CertificateError` means nothing was proved either way: no report,
       exit 1 and one stderr line, `hypharm <subcommand>: <message>`;
-    * an `AssertionError` from `compute_L`, `epsilon` or
-      `taylor_decompose`, or any other exception, is a bug and shows a
-      traceback.
+    * an `AssertionError` from `compute_L` or `epsilon`, or any other
+      exception, is a bug and shows a traceback.
     """
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -236,17 +237,16 @@ def exact_collision_groups(n_max: int, exponent: int = 2) -> list[list[tuple[int
     return sorted(members for members in groups.values() if len(members) > 1)
 
 
-def screen_levels(n: int, base_top: int = 64) -> tuple[list[dict], int]:
+def screen_levels(n: int) -> list[dict]:
     """The partitioned screen's levels, end by end, with trial-division primes.
 
-    From top = n down while top > base_top: with q_1 the smallest prime in
+    From top = n down while top > 1: with q_1 the smallest prime in
     (top/2, top], each end b >= q_1 takes the windows [a, b] with a <= q,
     q the level's largest prime <= b, into the end block of q, and those
     with a > q into the gap windows.  The probes are the windows inside
     [1, q_1 - 1] shorter than the longest gap window; the next level has
-    top = q_1 - 1.  Returns one dict per level (end block sizes by prime,
-    the longest gap window's length, gap and probe window counts) and the
-    base block's window count.
+    top = q_1 - 1.  Returns one dict per level: end block sizes by prime,
+    the longest gap window's length, gap and probe window counts.
     """
 
     def is_prime(x: int) -> bool:
@@ -254,7 +254,7 @@ def screen_levels(n: int, base_top: int = 64) -> tuple[list[dict], int]:
 
     levels = []
     top = n
-    while top > base_top:
+    while top > 1:
         first = next(q for q in range(top // 2 + 1, top + 1) if is_prime(q))
         ends: dict[int, int] = {}
         gaps = longest = 0
@@ -269,7 +269,69 @@ def screen_levels(n: int, base_top: int = 64) -> tuple[list[dict], int]:
             {"ends": ends, "longest_gap": longest, "gap_windows": gaps, "probe_windows": probes}
         )
         top = first - 1
-    return levels, top * (top + 1) // 2
+    return levels
+
+
+def screen_blocks(n: int) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """The partitioned screen's blocks for the bound n, window by window
+    from `screen_levels`, as (own, probes) lists of windows (a, r).
+
+    A window [a, b] is own at the first level, from the top, whose first
+    prime q_1 is at most b: in the end block of the largest prime it
+    holds, or in the level's gap block if it holds none.  At each level
+    above that one it is a probe of the gap block if it is shorter than
+    the level's longest gap window.  [1, 1] has no level: it is own in no
+    block.
+    """
+    levels = screen_levels(n)
+    blocks: dict = {}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            for level in levels:
+                primes = list(level["ends"])
+                if b >= primes[0]:
+                    held = [q for q in primes if a <= q <= b]
+                    key = ("end", held[-1]) if held else ("gap", primes[0])
+                    blocks.setdefault(key, ([], []))[0].append((a, b - a))
+                    break
+                if b - a + 1 < level["longest_gap"]:
+                    blocks.setdefault(("gap", primes[0]), ([], []))[1].append((a, b - a))
+    return list(blocks.values())
+
+
+def block_screen_counts(n: int, moduli: tuple[int, ...], exponent: int = 2) -> dict[str, int]:
+    """The search's screen counters, block by block over `screen_blocks`.
+
+    duplicate_keys: per block, the distinct residues mod moduli[0] that
+    two own windows share, or an own window and a probe.  screen_groups,
+    largest_group and exact_confirmations: per block, the classes of
+    windows that agree modulo every prime and hold two own windows, or one
+    and a probe, and their sizes.  A window counts once in its own block
+    and once more for each gap block it probes.
+    """
+    residues = {
+        window: tuple(value.numerator * pow(value.denominator, -1, p) % p for p in moduli)
+        for window, value in window_sums(n, exponent).items()
+    }
+    counts = dict.fromkeys(
+        ("duplicate_keys", "screen_groups", "largest_group", "exact_confirmations"), 0
+    )
+    for own, probes in screen_blocks(n):
+        first_counts = Counter(residues[window][0] for window in own)
+        probe_firsts = {residues[window][0] for window in probes}
+        counts["duplicate_keys"] += sum(
+            1 for value, count in first_counts.items() if count > 1 or value in probe_firsts
+        )
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for side, windows in enumerate((own, probes)):
+            for window in windows:
+                classes.setdefault(residues[window], [0, 0])[side] += 1
+        for own_count, probe_count in classes.values():
+            if own_count > 1 or (own_count and probe_count):
+                counts["screen_groups"] += 1
+                counts["largest_group"] = max(counts["largest_group"], own_count + probe_count)
+                counts["exact_confirmations"] += own_count + probe_count
+    return counts
 
 
 def window_sums(n_max: int, exponent: int = 2) -> dict[tuple[int, int], Fraction]:

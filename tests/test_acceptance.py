@@ -307,6 +307,29 @@ def test_criterion_4_quadratic_band(band_grid):
     )
 
 
+def test_criterion_4_quadratic_band_closed_form(band_grid):
+    # for each r the upper side fails exactly at a = 1, ..., f(r), with f(r)
+    # the nearest integer to 2(r+1)/3, except f(0) = 0 and f(3) = 2;
+    # 2(r+1)/3 is never a half-integer, so the nearest integer is
+    # floor((2(r+1) + 1)/3)
+    def f(r):
+        return {0: 0, 3: 2}.get(r, (2 * r + 3) // 3)
+
+    failing = {r: [] for r in range(GRID_R + 1)}
+    for failure in band_grid.failures:
+        if not failure["expr_upper"]:
+            failing[failure["r"]].append(failure["a"])
+    bad = [r for r, starts in failing.items() if sorted(starts) != list(range(1, f(r) + 1))]
+    assert _line(
+        "4-quadratic-band-closed-form",
+        not bad,
+        f"upper-side failures at a = 1..f(r), f(r) the nearest integer to 2(r+1)/3 "
+        f"(f(0) = 0, f(3) = 2), for every r <= {GRID_R}: "
+        f"{len(failing) - len(bad)} of {len(failing)} rows, "
+        f"{sum(map(len, failing.values()))} failures; rows that differ: {bad}",
+    )
+
+
 # -- criterion 5: decomposition and bracket identity ---------------------------
 
 

@@ -129,18 +129,22 @@ def test_bertrand_beyond_the_address_space_headroom_exits_two_before_sieving():
     [
         ["reduce", "--a1", "1", "--r", str(10**400), "--a2", "2", "--s", str(10**400)],
         ["eta", "--a", "1", "--r", str(10**40)],
+        ["eta", "--a", "1", "--r", "9" * 4300],
     ],
-    ids=["reduce", "eta"],
+    ids=["reduce", "eta", "eta-4300-digits"],
 )
 def test_window_too_long_to_sum_exits_two_before_summing(argv):
     # the unreduced sum of 10^40 or more terms cannot fit in memory; it
-    # used to end in a RecursionError (reduce) or run without end (eta)
+    # used to end in a RecursionError (reduce) or run without end (eta).
+    # A 4,300-digit r is the longest argparse accepts; the byte count is
+    # named as a power of two, not in all of its digits.
     proc = subprocess.run(
         [sys.executable, "-m", "hypharm", *argv], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 2, proc.stderr
     assert f"hypharm {argv[0]}: the unreduced sum of a window" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert all(len(line) < 200 for line in proc.stderr.splitlines()), proc.stderr
 
 
 def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys):
@@ -154,11 +158,10 @@ def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys
 
 
 def _largest_screen_block(n):
-    levels, base = oracles.screen_levels(n)
+    levels = oracles.screen_levels(n)
     return max(
         [max(level["ends"].values()) for level in levels]
         + [level["gap_windows"] + level["probe_windows"] for level in levels]
-        + [base]
     )
 
 
@@ -186,10 +189,10 @@ def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
         "exact_confirmations", "peak_rss_kb",
     }
     assert stats["screen_groups"] == stats["largest_group"] == stats["exact_confirmations"] == 0
-    (level,), _ = oracles.screen_levels(120)
-    assert stats["levels"] == 1 and stats["largest_block"] == _largest_screen_block(120)
-    assert stats["gap_windows"] == level["gap_windows"] > 0
-    assert stats["probe_windows"] == level["probe_windows"] > 0
+    levels = oracles.screen_levels(120)
+    assert stats["levels"] == len(levels) and stats["largest_block"] == _largest_screen_block(120)
+    assert stats["gap_windows"] == sum(level["gap_windows"] for level in levels) > 0
+    assert stats["probe_windows"] == sum(level["probe_windows"] for level in levels) > 0
     config = SearchConfig(max_n=120, seed=5)
     expected = [
         {

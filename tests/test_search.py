@@ -3,14 +3,13 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import hypharm.search as search_module
 from hypharm.kernel import miller_rabin, p_adic_valuation
-from hypharm.screen import partition
+from hypharm.screen import memory_charge, partition
 from hypharm.search import (
     SearchConfig,
     prefix_residues,
@@ -101,65 +100,41 @@ def test_search_deterministic_across_reruns():
         assert other.exact_collision_pairs == reference.exact_collision_pairs
 
 
-@pytest.mark.parametrize("exponent", [1, 2])
-@pytest.mark.parametrize("moduli", [(61,), (211, 223)], ids=["p61", "p211-p223"])
-def test_forced_small_moduli_screen_matches_oracle(monkeypatch, moduli, exponent):
-    # (61,): 1830 windows in 61 residue classes, so the pigeonhole principle
-    # forces screen groups.  (211, 223): many pairs agree mod 211 only, and
-    # the re-screen over every modulus must drop them.
-    monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
-    report = search(SearchConfig(max_n=60, exponent=exponent, modulus_count=len(moduli)))
-    screened = [
-        ((p.first.a, p.first.r), (p.second.a, p.second.r)) for p in report.screen_collision_pairs
-    ]
-    expected = oracles.screen_collision_pairs(60, moduli, exponent)
-    assert expected and screened == expected
-    assert report.exact_collision_pairs == []
-    if len(moduli) > 1:
-        assert len(oracles.screen_collision_pairs(60, moduli[:1], exponent)) > len(expected)
-    stats = report.stats
-    assert stats["screen_groups"] > 0 and stats["largest_group"] >= 2
-    assert stats["exact_confirmations"] == len({window for pair in expected for window in pair})
-
-
 def _screened_together(n):
-    """Whether the partition compares two windows, from `oracles.screen_levels`:
-    windows of one block, or a gap window and a shorter-than-its-level's-
-    longest-gap window below its level's first prime (a probe)."""
-    levels, _ = oracles.screen_levels(n)
-
-    def block(window):
-        a, b = window[0], window[0] + window[1]
-        for level in levels:
-            primes = list(level["ends"])
-            if b >= primes[0]:
-                held = [q for q in primes if a <= q <= b]
-                return ("end", held[-1]) if held else ("gap", level)
-        return ("base", None)
-
-    def probes(gap, window):
-        kind, level = block(gap)
-        return kind == "gap" and window[0] + window[1] < min(level["ends"]) and (
-            window[1] + 1 < level["longest_gap"]
-        )
+    """Whether the partition compares two windows, from `oracles.screen_blocks`:
+    windows of one block, or a gap window and one of its probes."""
+    places: dict = {}
+    for index, (own, probes) in enumerate(oracles.screen_blocks(n)):
+        for side, windows in enumerate((own, probes)):
+            for window in windows:
+                places.setdefault(window, []).append((index, side))
 
     def together(first, second):
-        return block(first) == block(second) or probes(first, second) or probes(second, first)
+        return any(
+            index == other and not (side and other_side)
+            for index, side in places.get(first, [])
+            for other, other_side in places.get(second, [])
+        )
 
     return together
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
 @pytest.mark.parametrize(
-    "n, moduli", [(100, (1009,)), (130, (2003,)), (150, (4001, 4003))],
-    ids=["p1009", "p2003", "p4001-p4003"],
+    "n, moduli",
+    [(100, (1009,)), (130, (2003,)), (150, (4001, 4003)), (60, (61,)), (60, (211, 223))],
+    ids=["p1009", "p2003", "p4001-p4003", "p61", "p211-p223"],
 )
 def test_partition_drops_only_valuation_separated_pairs(monkeypatch, n, moduli, exponent):
-    # Above N = 64 the screen compares only windows of one block, or a gap
-    # window with a probe, so it reports exactly those pairs that agree
-    # modulo every forced prime.  Each pair it leaves out must have unequal
-    # sums for a reason that needs no residue: a prime q <= N whose
-    # valuation tells the two denominators apart.
+    # The screen compares only windows of one block, or a gap window with a
+    # probe, so it reports exactly those pairs that agree modulo every
+    # forced prime.  Each pair it leaves out must have unequal sums for a
+    # reason that needs no residue: a prime q <= N whose valuation tells
+    # the two denominators apart, or, for a window too long to probe, as
+    # many terms as a later window and each of them larger.  At 61, 1830
+    # windows in 61 residue classes force screen groups by the pigeonhole
+    # principle; at (211, 223) many pairs agree mod 211 only, and the
+    # re-screen over every modulus must drop them.
     monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
     report = search(SearchConfig(max_n=n, exponent=exponent, modulus_count=len(moduli)))
     screened = [
@@ -169,26 +144,35 @@ def test_partition_drops_only_valuation_separated_pairs(monkeypatch, n, moduli, 
     together = _screened_together(n)
     assert screened == [pair for pair in expected if together(*pair)]
     assert report.exact_collision_pairs == []
+    stats = report.stats
+    counts = oracles.block_screen_counts(n, moduli, exponent)
+    for key in ("screen_groups", "largest_group", "exact_confirmations"):
+        assert stats[key] == counts[key], key
     if len(moduli) == 1:
         assert screened and len(screened) < len(expected)
+        assert stats["screen_groups"] > 0 and stats["largest_group"] >= 2
         # a gap window of the top level against a probe below its first prime
-        first_prime = int(partition(n)[0][0].primes[0])
+        first_prime = int(partition(n)[0].primes[0])
         assert any((w1[0] + w1[1] < first_prime) != (w2[0] + w2[1] < first_prime) for w1, w2 in screened)
+    else:
+        first_only = oracles.screen_collision_pairs(n, moduli[:1], exponent)
+        assert len([pair for pair in first_only if together(*pair)]) > len(screened)
     denominators = {window: value.denominator for window, value in oracles.window_sums(n, exponent).items()}
     primes = [q for q in range(n, 1, -1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
     for pair in set(expected).difference(screened):
         d1, d2 = (denominators[window] for window in pair)
-        assert any(
+        (a1, r1), (a2, r2) = pair
+        assert (a1 + r1 < a2 and r1 >= r2) or any(
             (d1 % q == 0 or d2 % q == 0) and p_adic_valuation(d1, q) != p_adic_valuation(d2, q)
             for q in primes
         ), pair
 
 
-@pytest.mark.parametrize("n", [65, 100, 1000, 5000])
+@pytest.mark.parametrize("n", [2, 3, 10, 64, 65, 100, 1000, 5000])
 def test_partition_covers_every_window_once(n):
-    levels, base = partition(n)
-    expected_levels, expected_base = oracles.screen_levels(n)
-    assert len(levels) == len(expected_levels) and base * (base + 1) // 2 == expected_base
+    levels = partition(n)
+    expected_levels = oracles.screen_levels(n)
+    assert len(levels) == len(expected_levels)
     for level, expected in zip(levels, expected_levels):
         assert level.primes.tolist() == list(expected["ends"])
         assert level.end_blocks.tolist() == list(expected["ends"].values())
@@ -196,20 +180,25 @@ def test_partition_covers_every_window_once(n):
         assert level.probe_windows == expected["probe_windows"]
     ends = sum(int(level.end_blocks.sum()) for level in levels)
     gaps = sum(level.gap_windows for level in levels)
-    assert ends + gaps + expected_base == n * (n + 1) // 2
+    # the 1 is [1, 1], which no level takes
+    assert ends + gaps + 1 == n * (n + 1) // 2
+    # a gap block's residues and probe lookup fit in the charge for the
+    # largest block (the condition the _BLOCK_BYTES comment relies on)
+    largest, _ = memory_charge(levels, n, 1)
+    for level in levels:
+        assert 25 * level.gap_windows + 8 * level.probe_windows <= 16 * largest
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
 @pytest.mark.parametrize("moduli", [(61,), (211, 223)], ids=["p61", "p211-p223"])
 def test_duplicate_keys_count_the_repeated_first_residues(monkeypatch, moduli, exponent):
-    # read off the sorted column, the repeats must be the distinct first
-    # residues that occur more than once, counted here term by term
+    # read off each block's sorted column and its probe lookup, the repeats
+    # must be the distinct first residues that occur more than once in the
+    # block, counted here window by window
     monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
     report = search(SearchConfig(max_n=60, exponent=exponent, modulus_count=len(moduli)))
-    counts = Counter(
-        oracles.g_mod(a, r, moduli[0], exponent) for a in range(1, 61) for r in range(61 - a)
-    )
-    assert report.stats["duplicate_keys"] == sum(1 for c in counts.values() if c > 1) > 0
+    expected = oracles.block_screen_counts(60, moduli, exponent)["duplicate_keys"]
+    assert report.stats["duplicate_keys"] == expected > 0
 
 
 def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
