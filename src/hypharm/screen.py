@@ -8,7 +8,7 @@ have equal sums.  `partition` splits the windows level by level, from
 M = N down, with q_1 < ... < q_k the primes in (M/2, M]:
 
 * the end block of q_j, the windows [a, b] with a <= q_j <= b < q_{j+1}
-  (q_{k+1} = M + 1), is screened on its own;
+  (q_{k+1} = M + 1), needs no screen (below);
 * the gap windows, which lie above q_1 and hold none of the primes, are
   screened together, and against the probe windows: those inside
   [1, q_1 - 1] that are shorter than the longest gap window.  A probe ends
@@ -20,13 +20,24 @@ By Bertrand's postulate every level down to M = 2 has such a prime, and
 q_1 = 2 at the last one, so the levels take every window but [1, 1].
 That one needs no block: at M = 2 the prime 2 separates it from [1, 2]
 and [2, 2], and at every higher level it is either separated by valuation
-or a probe.  So memory is set by the largest block, about N times the
-largest prime gap below N, not by the N(N+1)/2 windows.
+or a probe.
 
-Inside a block `BlockScreen` sorts the residues modulo the first prime.
-Only if one repeats does it walk the block's windows one by one and
-fingerprint those whose first residue repeats; the other moduli's prefix
-arrays are built only then.  It calls nothing that loads numpy.ma
+An end block needs no screen.  Take two of its windows [a, b] and
+[a', b'] with equal sums and a < a'.  Then b < b', or one holds the
+other.  Removing the overlap leaves the disjoint windows [a, a' - 1] and
+[b + 1, b'], whose sums are equal too.  The later one lies strictly
+between q_j and q_{j+1}: a gap window.  The earlier one must have fewer
+terms, or size separates the pair; if it holds a prime of the level,
+valuation does; if not, it is a gap window or a probe.  Either way the
+gap block screens the reduced pair.  So an empty list of exact
+collisions still certifies every window: an equal pair inside an end
+block shows up as the disjoint pair it reduces to.  Memory is set by the
+largest gap block with its probes, not by the N(N+1)/2 windows.
+
+Inside a gap block `BlockScreen` sorts the residues modulo the first
+prime.  Only if one repeats does it walk the block's windows one by one
+and fingerprint those whose first residue repeats; the other moduli's
+prefix arrays are built only then.  It calls nothing that loads numpy.ma
 (np.unique does).  `search` imports this module when it runs, so the
 other subcommands neither load numpy nor compile the screen.
 """
@@ -48,14 +59,13 @@ Fingerprint = tuple[int, ...]
 # the 8-byte temporary that reduces it mod p.  A gap block holds 8 bytes
 # per gap window and per probe, and its probe lookup 17 bytes more per gap
 # window, so it stays within the charge while
-# 25 * gap windows + 8 * probes <= 16 * (largest block), which holds at
-# every level (the partition tests check it).
+# 25 * gap windows + 8 * probes <= 16 * (largest block).  That holds at
+# every level for N >= 10; below, the excess is at most 18 bytes, within
+# the scratch charge (the partition tests check both).
 _BLOCK_BYTES = 16
 # Memory charged per integer up to N besides the 8-byte prefix entries:
-# the list of Python ints each prefix array is built from (48 bytes an
-# entry).  It also covers the scratch of one run of windows, at most 30
-# bytes an integer.
-_SCRATCH_BYTES = 48
+# the scratch of one run of windows, at most 30 bytes an integer.
+_SCRATCH_BYTES = 32
 
 
 def load_numpy():
@@ -78,11 +88,6 @@ class Level:
     def __init__(self, top: int, primes):
         self.top, self.primes = top, primes
         self.bounds = load_numpy().append(primes[1:], top + 1)
-
-    @property
-    def end_blocks(self):
-        """Window count of each end block: q_j starts times q_{j+1} - q_j ends."""
-        return self.primes * (self.bounds - self.primes)
 
     @property
     def longest_gap(self) -> int:
@@ -116,11 +121,9 @@ def partition(n: int) -> list[Level]:
 
 
 def memory_charge(levels: list[Level], n: int, modulus_count: int) -> tuple[int, int]:
-    """(windows of the largest block, bytes the screen needs) for the bound n."""
-    largest = max(
-        [int(level.end_blocks.max()) for level in levels]
-        + [level.gap_windows + level.probe_windows for level in levels]
-    )
+    """(windows of the largest gap block with its probes, bytes the screen
+    needs) for the bound n."""
+    largest = max(level.gap_windows + level.probe_windows for level in levels)
     return largest, _BLOCK_BYTES * largest + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
 
 
@@ -137,7 +140,7 @@ def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
 
 
 class BlockScreen:
-    """Both passes over the blocks, and what they found.
+    """Both passes over the gap blocks, and what they found.
 
     `prefix_array(p)` gives the uint64 prefix residues modulo p, and
     `exact_sum(interval)` a window's exact sum; the caller supplies both.
@@ -148,7 +151,7 @@ class BlockScreen:
         self.moduli, self.prefix_array, self.exact_sum = moduli, prefix_array, exact_sum
         self.prefix_s = self.fill_s = self.sort_s = self.confirm_s = 0.0
         self.prefixes = [self._prefix(moduli[0])]
-        # every block's first residues are written here, one block at a time
+        # every gap block's first residues are written here, one block at a time
         self.buffer = self.np.empty(largest_block, dtype=self.np.uint64)
         self.duplicate_keys = 0
         self.group_sizes: list[int] = []
@@ -157,8 +160,6 @@ class BlockScreen:
 
     def run(self, levels: list[Level]) -> None:
         for level in levels:
-            for q, bound in zip(level.primes.tolist(), level.bounds.tolist()):
-                self.end_block(q, bound)
             self.gap_block(level)
 
     def _prefix(self, p: int):
@@ -188,28 +189,6 @@ class BlockScreen:
         """Which needles occur in the sorted array values."""
         np = self.np
         return np.take(values, np.searchsorted(values, needles), mode="clip") == needles
-
-    def _repeated(self, keys):
-        """Sort keys in place; the values that occur more than once (with repeats)."""
-        t0 = time.perf_counter()
-        keys.sort()
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        self.sort_s += time.perf_counter() - t0
-        return repeated
-
-    def end_block(self, q: int, bound: int) -> None:
-        """The windows [a, b] with 1 <= a <= q <= b < bound, as one outer
-        difference of prefix entries in [b, a] orientation."""
-        np = self.np
-        t0 = time.perf_counter()
-        keys = self.buffer[: (bound - q) * q]
-        np.subtract.outer(self.prefixes[0][q:bound], self.prefixes[0][:q],
-                          out=keys.reshape(bound - q, q))
-        self._reduce(keys)
-        self.fill_s += time.perf_counter() - t0
-        repeated = self._repeated(keys)
-        if repeated.size:
-            self._confirm(repeated, ((a, b) for b in range(q, bound) for a in range(1, q + 1)))
 
     def _filled(self, runs, start: int, size: int):
         """The first residues of the runs' kept windows, in buffer[start:start + size]."""
@@ -242,8 +221,10 @@ class BlockScreen:
         probe_runs = ((1, q1 - length, length, None) for length in range(1, longest))
         keys = self._filled(gap_runs(), 0, level.gap_windows)
         probes = self._filled(probe_runs, keys.size, level.probe_windows)
-        repeated = self._repeated(keys)
         t0 = time.perf_counter()
+        keys.sort()
+        # the values that occur more than once among the gap windows (with repeats)
+        repeated = keys[1:][keys[1:] == keys[:-1]]
         probes.sort()
         if probes.size:
             # sorted needles, so each binary search starts where the last ended
@@ -263,7 +244,7 @@ class BlockScreen:
             )
             self._confirm(repeated, gaps, shorter)
 
-    def _confirm(self, repeated, own_windows, probe_windows=()) -> None:
+    def _confirm(self, repeated, own_windows, probe_windows) -> None:
         """Group the windows (a, b) whose first residue is repeated by full
         fingerprint, and confirm every group exactly."""
         t0 = time.perf_counter()

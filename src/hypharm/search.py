@@ -10,10 +10,10 @@ negligible.
 The windows are screened block by block, never all at once (`screen`):
 a prime q in (M/2, M] separates the windows inside [1, M] that hold it
 from those that do not, and by Bertrand's postulate there is one for
-every M >= 2.  So memory is set by the largest block, about N times the
-largest prime gap below N, not by the N(N+1)/2 windows.  The
-screen and numpy are loaded by `search` itself, so the other subcommands
-neither load numpy nor compile the screen.
+every M >= 2.  The windows that hold such a prime need no screen (see
+`screen`), so memory is set by the largest of the other blocks, not by
+the N(N+1)/2 windows.  The screen and numpy are loaded by the search
+itself, so the other subcommands neither load numpy nor compile the screen.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .kernel import miller_rabin, require_memory, status_kb
 from .sums import IntervalPair, window_power_sum
@@ -72,32 +73,40 @@ def select_moduli(config: SearchConfig) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def prefix_residues(n_max: int, p: int, exponent: int) -> list[int]:
+def prefix_residues(n_max: int, p: int, exponent: int):
     """prefix[n] = sum of k^-exponent mod p for k = 1..n; prefix[0] = 0.
 
     Any window sum mod p is prefix[a+r] - prefix[a-1].  Each term is one
-    modular power, pow(k, -exponent, p).
+    modular power, pow(k, -exponent, p).  The entries fill a uint64 array
+    directly, 8 bytes each; take int() of them before any arithmetic.
     """
     if p <= n_max:
         raise ValueError(f"modulus {p} must exceed the bound {n_max}")
     if not miller_rabin(p):
         raise ValueError(f"modulus {p} is not prime")
-    prefix = [0] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        prefix[k] = (prefix[k - 1] + pow(k, -exponent, p)) % p
-    return prefix
+    from .screen import load_numpy  # numpy loads only when a search runs
+
+    terms = (pow(k, -exponent, p) for k in range(1, n_max + 1))
+    prefix = accumulate(terms, lambda total, term: (total + term) % p, initial=0)
+    return load_numpy().fromiter(prefix, dtype="uint64", count=n_max + 1)
 
 
 def search(config: SearchConfig) -> CollisionReport:
     """Screen all N(N+1)/2 windows and exactly confirm every screen group.
 
     The windows are split into blocks by `screen.partition`; only windows
-    of one block, or a gap window and one of its probes, are ever compared.
-    Pass 1 writes a block's residues modulo the first prime into one
-    buffer sized for the largest block (an end block as one outer
-    difference of prefix entries), sorts them in place and reads off the
-    values that repeat; for the gap block, also the gap windows' values
-    found among the sorted probes'.  Peak memory is 16 bytes per window of
+    of one gap block, or a gap window and one of its probes, are ever
+    compared.  The end blocks are not screened: two of their windows with
+    equal sums and a < a' are either nested, or removing their overlap
+    leaves the disjoint pair [a, a' - 1], [b + 1, b'], whose sums are also
+    equal, and which valuation or size separates or a gap block compares.
+    So an empty `exact_collision_pairs` still certifies all N(N+1)/2
+    windows: an equal pair inside an end block would show up as the
+    disjoint pair it reduces to.
+    Pass 1 writes a gap block's residues modulo the first prime into one
+    buffer sized for the largest block, sorts them in place and reads off
+    the values that repeat, and the gap windows' values found among the
+    sorted probes'.  Peak memory is 16 bytes per window of
     the largest block (the buffer and the temporary that reduces it mod
     p), beside 8 bytes per integer up to N for each modulus' prefix array.
     Only if some value repeats are the other moduli's prefix arrays built
@@ -105,14 +114,12 @@ def search(config: SearchConfig) -> CollisionReport:
     every modulus those whose first residue repeats, and group them by
     full fingerprint.  The memory guard charges every prefix array either
     way, before any modulus is chosen.
-    Each window but [1, 1] belongs to one block (that one needs none, see
-    `screen`), and a probe is paired only with gap windows, so no pair is
-    screened twice; pairs are reported in sorted
+    A gap window belongs to one block, and a probe is paired only with gap
+    windows, so no pair is screened twice; pairs are reported in sorted
     window order, so output is deterministic.
     """
     from . import screen  # compiled only when a search runs
 
-    np = screen.load_numpy()
     t0 = time.perf_counter()
     n, m = config.max_n, config.modulus_count
     levels = screen.partition(n)
@@ -121,13 +128,12 @@ def search(config: SearchConfig) -> CollisionReport:
     moduli = select_moduli(config)
     t_setup = time.perf_counter()
 
-    def prefix_array(p: int):
-        return np.array(prefix_residues(n, p, config.exponent), dtype=np.uint64)
-
     def exact_sum(interval):
         return window_power_sum(interval, config.exponent)
 
-    blocks = screen.BlockScreen(moduli, largest, prefix_array, exact_sum)
+    blocks = screen.BlockScreen(
+        moduli, largest, lambda p: prefix_residues(n, p, config.exponent), exact_sum
+    )
     blocks.run(levels)
     blocks.screen_pairs.sort(key=lambda q: (q.first, q.second))
     blocks.exact_pairs.sort(key=lambda q: (q.first, q.second))

@@ -276,12 +276,12 @@ def screen_blocks(n: int) -> list[tuple[list[tuple[int, int]], list[tuple[int, i
     """The partitioned screen's blocks for the bound n, window by window
     from `screen_levels`, as (own, probes) lists of windows (a, r).
 
-    A window [a, b] is own at the first level, from the top, whose first
-    prime q_1 is at most b: in the end block of the largest prime it
-    holds, or in the level's gap block if it holds none.  At each level
-    above that one it is a probe of the gap block if it is shorter than
-    the level's longest gap window.  [1, 1] has no level: it is own in no
-    block.
+    A window [a, b] belongs to the first level, from the top, whose first
+    prime q_1 is at most b.  If it holds none of that level's primes it is
+    own in the level's gap block; if it holds one, it is an end-block
+    window, and like [1, 1], which has no level, it is own in no block.
+    At each level above its own it is a probe of the gap block if it is
+    shorter than the level's longest gap window.
     """
     levels = screen_levels(n)
     blocks: dict = {}
@@ -290,9 +290,8 @@ def screen_blocks(n: int) -> list[tuple[list[tuple[int, int]], list[tuple[int, i
             for level in levels:
                 primes = list(level["ends"])
                 if b >= primes[0]:
-                    held = [q for q in primes if a <= q <= b]
-                    key = ("end", held[-1]) if held else ("gap", primes[0])
-                    blocks.setdefault(key, ([], []))[0].append((a, b - a))
+                    if not any(a <= q <= b for q in primes):
+                        blocks.setdefault(("gap", primes[0]), ([], []))[0].append((a, b - a))
                     break
                 if b - a + 1 < level["longest_gap"]:
                     blocks.setdefault(("gap", primes[0]), ([], []))[1].append((a, b - a))

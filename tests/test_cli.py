@@ -158,19 +158,17 @@ def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys
 
 
 def _largest_screen_block(n):
-    levels = oracles.screen_levels(n)
-    return max(
-        [max(level["ends"].values()) for level in levels]
-        + [level["gap_windows"] + level["probe_windows"] for level in levels]
-    )
+    # the end blocks are not screened: the largest gap block with its probes
+    return max(level["gap_windows"] + level["probe_windows"] for level in oracles.screen_levels(n))
 
 
 def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
     # 16 B per window of the largest block (its residue and the temporary
     # that reduces it), plus 8 B per integer up to N for each of the 3
-    # prefix arrays and 48 B for the list each is built from: one byte
-    # less is refused, and the search runs at exactly that much
-    charge = 16 * _largest_screen_block(1000) + (8 * 3 + 48) * 1001
+    # prefix arrays and 32 B for the scratch of one run of windows: one
+    # byte less is refused, and the search runs at exactly that much
+    assert _largest_screen_block(1000) == 10884
+    charge = 16 * _largest_screen_block(1000) + (8 * 3 + 32) * 1001
     monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
     assert f"needs {charge} bytes" in capsys.readouterr().err
