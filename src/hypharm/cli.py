@@ -193,7 +193,7 @@ def _run_verify(args) -> tuple[list[lemmas.SweepResult], dict]:
         return list(sweeps), box | {"precision_bits": bits}
     if lemma == "bracket-identity":
         sweep = lemmas.sweep_bracket_identity(box["pairs"], seed, box["max_total"], bits)
-        return [sweep], box | {"seed": seed}
+        return [sweep], box | {"seed": seed, "precision_bits": bits}
     if lemma == "e11-search":
         return [lemmas.sweep_e11_box(**box)], box
     if lemma == "decompose":
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
             subcommand=args.subcommand,
             parameters=run.parameters,
             version=__version__,
-            seed=getattr(args, "seed", None),
+            seed=run.parameters.get("seed"),
             started=started,
             finished=datetime.datetime.now(datetime.timezone.utc).isoformat(),
             wall_time_s=round(time.perf_counter() - t0, 6),

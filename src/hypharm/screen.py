@@ -55,14 +55,10 @@ from .sums import Interval, IntervalPair
 # sums imply equal fingerprints (each component is the sum mod p).
 Fingerprint = tuple[int, ...]
 
-# Memory charged per window of the largest block: its 8-byte residue and
-# the 8-byte temporary that reduces it mod p.  A gap block holds 8 bytes
-# per gap window and per probe, and its probe lookup 17 bytes more per gap
-# window, so it stays within the charge while
-# 25 * gap windows + 8 * probes <= 16 * (largest block).  That holds at
-# every level for N >= 10; below, the excess is at most 18 bytes, within
-# the scratch charge (the partition tests check both).
-_BLOCK_BYTES = 16
+# Memory charged per gap window of the level with the most, beside its
+# 8-byte residue: the repeat mask and the probe lookup's index, gathered
+# values and mask, 17.25 bytes measured by tracemalloc.
+_LOOKUP_BYTES = 18
 # Memory charged per integer up to N besides the 8-byte prefix entries:
 # the scratch of one run of windows, at most 30 bytes an integer.
 _SCRATCH_BYTES = 32
@@ -122,9 +118,12 @@ def partition(n: int) -> list[Level]:
 
 def memory_charge(levels: list[Level], n: int, modulus_count: int) -> tuple[int, int]:
     """(windows of the largest gap block with its probes, bytes the screen
-    needs) for the bound n."""
+    needs) for the bound n: the shared buffer of 8 bytes per window of that
+    block, the lookup bytes of the level with the most gap windows, and the
+    prefix arrays and scratch per integer up to n."""
     largest = max(level.gap_windows + level.probe_windows for level in levels)
-    return largest, _BLOCK_BYTES * largest + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
+    lookup = _LOOKUP_BYTES * max(level.gap_windows for level in levels)
+    return largest, 8 * largest + lookup + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
 
 
 def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:

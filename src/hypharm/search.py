@@ -94,32 +94,18 @@ def prefix_residues(n_max: int, p: int, exponent: int):
 def search(config: SearchConfig) -> CollisionReport:
     """Screen all N(N+1)/2 windows and exactly confirm every screen group.
 
-    The windows are split into blocks by `screen.partition`; only windows
-    of one gap block, or a gap window and one of its probes, are ever
-    compared.  The end blocks are not screened: two of their windows with
-    equal sums and a < a' are either nested, or removing their overlap
-    leaves the disjoint pair [a, a' - 1], [b + 1, b'], whose sums are also
-    equal, and which valuation or size separates or a gap block compares.
-    So an empty `exact_collision_pairs` still certifies all N(N+1)/2
-    windows: an equal pair inside an end block would show up as the
-    disjoint pair it reduces to.
-    Pass 1 writes a gap block's residues modulo the first prime into one
-    buffer sized for the largest block, sorts them in place and reads off
-    the values that repeat, and the gap windows' values found among the
-    sorted probes'.  Peak memory is 16 bytes per window of
-    the largest block (the buffer and the temporary that reduces it mod
-    p), beside 8 bytes per integer up to N for each modulus' prefix array.
-    Only if some value repeats are the other moduli's prefix arrays built
-    and does pass 2 walk the block's windows one by one, fingerprint over
-    every modulus those whose first residue repeats, and group them by
-    full fingerprint.  The memory guard charges every prefix array either
-    way, before any modulus is chosen.
-    A gap window belongs to one block, and a probe is paired only with gap
-    windows, so no pair is screened twice; pairs are reported in sorted
-    window order, so output is deterministic.
+    An empty `exact_collision_pairs` certifies all N(N+1)/2 windows,
+    although only the gap blocks of `screen.partition` are compared: the
+    `screen` module docstring says why, and how its two passes run.  The
+    memory guard asks for `screen.memory_charge`, which counts every
+    prefix array, before any modulus is chosen.  A gap window belongs to
+    one block, and a probe is paired only with gap windows, so no pair is
+    screened twice; pairs are reported in sorted window order, so output
+    is deterministic.
     """
     from . import screen  # compiled only when a search runs
 
+    screen.load_numpy()  # its import counts in the run's wall time, not in prefix_s
     t0 = time.perf_counter()
     n, m = config.max_n, config.modulus_count
     levels = screen.partition(n)

@@ -60,11 +60,14 @@ def test_search_usage_error_exit_two(tmp_path, capsys):
 
 
 def test_search_beyond_physical_memory_exits_two_before_any_work(monkeypatch, capsys):
-    # 5e13 windows would need 400 TB of residues; the guard must fire
-    # before the moduli, the prefix arrays or the key column exist
+    # N = 10^7 is charged 8.24 GB (a largest block of 815 million windows,
+    # 65 million gap windows in one level, three prefix arrays), more than
+    # a 4 GiB machine has; the guard must fire before the moduli, the
+    # prefix arrays or the screen's buffer exist
     def unreachable(*args):
         raise AssertionError("search started work past the memory guard")
 
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 4 << 30)
     monkeypatch.setattr(search_module, "select_moduli", unreachable)
     monkeypatch.setattr(search_module, "prefix_residues", unreachable)
     assert main(["search", "--max-n", "10000000"]) == 2
@@ -163,12 +166,15 @@ def _largest_screen_block(n):
 
 
 def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
-    # 16 B per window of the largest block (its residue and the temporary
-    # that reduces it), plus 8 B per integer up to N for each of the 3
-    # prefix arrays and 32 B for the scratch of one run of windows: one
-    # byte less is refused, and the search runs at exactly that much
+    # 8 B per window of the largest block (the shared buffer), 18 B per gap
+    # window of the level with the most (the repeat mask and probe lookup),
+    # plus 8 B per integer up to N for each of the 3 prefix arrays and 32 B
+    # for the scratch of one run of windows: one byte less is refused, and
+    # the search runs at exactly that much
     assert _largest_screen_block(1000) == 10884
-    charge = 16 * _largest_screen_block(1000) + (8 * 3 + 32) * 1001
+    most_gaps = max(level["gap_windows"] for level in oracles.screen_levels(1000))
+    charge = 8 * _largest_screen_block(1000) + 18 * most_gaps + (8 * 3 + 32) * 1001
+    assert charge == 179_146
     monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
     assert f"needs {charge} bytes" in capsys.readouterr().err
@@ -425,7 +431,15 @@ def test_smallest_verify_boxes_check_something(tmp_path):
             argv += [f"--{name.replace('_', '-')}", str(least)]
         code, text = run_cli(argv, tmp_path)
         assert code in (0, 1), lemma
-        assert all(result["checked"] >= 1 for result in json.loads(text)["results"]), lemma
+        document = json.loads(text)
+        assert all(result["checked"] >= 1 for result in document["results"]), lemma
+        # the manifest records only the seed and precision the lemma read
+        manifest = document["manifest"]
+        parameters = manifest["parameters"]
+        assert ("seed" in parameters) == (lemma in ("bracket-identity", "decompose")), lemma
+        assert ("precision_bits" in parameters) == (lemma in ("eta-band", "bracket-identity")), lemma
+        assert manifest["seed"] == parameters.get("seed"), lemma
+        assert parameters.get("seed", 3) == 3 and parameters.get("precision_bits", 48) == 48
 
 
 def test_verify_power_sums_exit_zero(tmp_path):

@@ -3,14 +3,17 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import hypharm.screen as screen_module
 import hypharm.search as search_module
 from hypharm.kernel import miller_rabin, p_adic_valuation
-from hypharm.screen import memory_charge, partition
+from hypharm.screen import BlockScreen, memory_charge, partition
 from hypharm.search import (
     SearchConfig,
     prefix_residues,
@@ -211,15 +214,12 @@ def test_partition_covers_every_window_once(n):
     gaps = sum(level.gap_windows for level in levels)
     # the 1 is [1, 1], which no level takes
     assert ends + gaps + 1 == n * (n + 1) // 2
-    # a gap block's residues and probe lookup fit in the charge for the
-    # largest block (the condition the _BLOCK_BYTES comment relies on);
-    # below n = 10 they may exceed it by less than the 32 B per integer
-    # of scratch charged beside the 8 B prefix entries
+    # 8 B per window of the largest block, 18 B per gap window of the level
+    # with the most, and per integer 8 B of prefix array and 32 B of scratch
     largest, charge = memory_charge(levels, n, 1)
-    assert charge == 16 * largest + (8 + 32) * (n + 1)
-    for level in levels:
-        excess = 25 * level.gap_windows + 8 * level.probe_windows - 16 * largest
-        assert excess <= 0 if n >= 10 else excess < 32 * (n + 1)
+    assert largest == max(level.gap_windows + level.probe_windows for level in levels)
+    most_gaps = max(level.gap_windows for level in levels)
+    assert charge == 8 * largest + 18 * most_gaps + (8 + 32) * (n + 1)
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
@@ -252,6 +252,44 @@ def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
     report = search(SearchConfig(max_n=60, modulus_count=2))
     assert report.stats["duplicate_keys"] > 0
     assert built == [211, 223]
+
+
+@pytest.mark.parametrize("n", [1000, 20_000])
+def test_block_screen_peak_stays_within_its_charge(n):
+    # with the prefix array built beforehand, what the screen allocates is
+    # the shared buffer, the lookup of one level's gap windows and the
+    # scratch of one run: the charge less its prefix arrays must hold it
+    config = SearchConfig(max_n=n)
+    moduli = select_moduli(config)
+    prefix = prefix_residues(n, moduli[0], config.exponent)
+    levels = partition(n)
+    largest, charge = memory_charge(levels, n, len(moduli))
+    tracemalloc.start()
+    try:
+        blocks = BlockScreen(moduli, largest, lambda p: prefix, lambda interval: None)
+        blocks.run(levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocks.duplicate_keys == 0
+    assert 8 * largest < peak <= charge - 8 * len(moduli) * (n + 1)
+
+
+def test_prefix_s_leaves_out_numpys_import(monkeypatch):
+    # a fresh process imports numpy on its first load_numpy call; a sleep
+    # stands in for that import here, and must not count in prefix_s
+    true_load_numpy = screen_module.load_numpy
+    calls = []
+
+    def slow_first_load():
+        if not calls:
+            time.sleep(0.2)
+        calls.append(None)
+        return true_load_numpy()
+
+    monkeypatch.setattr(screen_module, "load_numpy", slow_first_load)
+    report = search(SearchConfig(max_n=100))
+    assert calls and report.stats["prefix_s"] < 0.2
 
 
 def test_search_does_not_load_numpy_ma():
