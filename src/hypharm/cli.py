@@ -17,8 +17,8 @@ raises ValueError for a usage error.  `main` alone turns that, or a
 `CertificateError`, into the report or the stderr message and the exit
 code; any other exception is a bug and propagates as a traceback.  All
 randomness is seeded, so reruns with equal parameters emit byte-identical
-result payloads; `search` adds its phase timings and screen counters to
-the manifest, not to the results.
+result payloads; `search` and `verify --lemma eta-band` add their
+timings and counters to the manifest, not to the results.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .sums import (
     IntervalPair,
     epsilon,
     eta_band_report,
+    eta_working_bits,
     g_exact,
     reduce_overlap,
 )
@@ -202,7 +203,12 @@ def _run_verify(args) -> tuple[list[lemmas.SweepResult], dict]:
 
 
 def cmd_verify(args) -> Run:
+    t0 = time.perf_counter()
     sweeps, params = _run_verify(args)
+    sweep_s, stats = round(time.perf_counter() - t0, 6), {}
+    if args.lemma == "eta-band":  # the box's far corner needs the most square-root bits
+        bits = eta_working_bits(Interval(params["a_max"], params["r_max"]), args.precision_bits)
+        stats = {"windows": sweeps[0].checked, "working_bits": bits, "sweep_s": sweep_s}
     all_hold = all(sweep.holds for sweep in sweeps)
     results = [
         {
@@ -221,6 +227,7 @@ def cmd_verify(args) -> Run:
         results,
         "all instances hold" if all_hold else "falsified instances found",
         EXIT_OK if all_hold else EXIT_FALSIFIED,
+        stats,
     )
 
 

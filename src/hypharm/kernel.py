@@ -22,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-
 
 class Verdict(enum.Enum):
     """Outcome of a certified check; one that cannot be certified raises
@@ -104,24 +102,28 @@ class Enclosure:
         return f"[{self.lo}, {self.hi}]"
 
 
+def sqrt_mantissas(num: int, den: int, e: int) -> tuple[int, int]:
+    """Integers lo <= hi <= lo + 1 with lo^2 <= 4^e * num/den <= hi^2, for num >= 0 < den.
+
+    So lo/2^e and hi/2^e enclose sqrt(num/den), and hi == lo exactly when
+    num/den is the square of lo/2^e.  One isqrt; no rational arithmetic.
+    """
+    lo = math.isqrt((num << (2 * e)) // den)
+    return lo, lo + (lo * lo * den != num << (2 * e))
+
+
 def sqrt_enclosure(x, precision_bits: int) -> Enclosure:
     """Enclosure [lo, hi] with lo^2 <= x <= hi^2 and hi - lo <= 2^-precision_bits.
 
-    Exact squares with a dyadic root come back degenerate ([root, root]).
+    The `Enclosure` view of `sqrt_mantissas`; exact squares come back degenerate.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("square root of a negative rational")
     if precision_bits < 1:
         raise ValueError("precision_bits must be positive")
-    if x == 0:
-        return Enclosure(_ZERO, _ZERO)
-    e = precision_bits
-    m = math.isqrt((x.numerator << (2 * e)) // x.denominator)
-    lo = Fraction(m, 1 << e)
-    if lo * lo == x:
-        return Enclosure(lo, lo)
-    return Enclosure(lo, Fraction(m + 1, 1 << e))
+    lo, hi = sqrt_mantissas(x.numerator, x.denominator, precision_bits)
+    return Enclosure(Fraction(lo, 1 << precision_bits), Fraction(hi, 1 << precision_bits))
 
 
 # ---------------------------------------------------------------------------

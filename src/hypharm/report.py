@@ -33,25 +33,26 @@ def decode_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
-def encode_value(obj):
-    """Recursively convert arbitrary result objects to JSON-able data."""
+def encode_value(obj, floats: bool = False):
+    """Recursively convert result objects to JSON-able data.  A float is exact
+    only by accident, so it raises TypeError unless `floats` (manifest timings)."""
     if isinstance(obj, Enclosure):
         return {"lo": encode_dyadic(obj.lo), "hi": encode_dyadic(obj.hi)}
     if isinstance(obj, Fraction):
         return encode_fraction(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
+    if obj is None or isinstance(obj, (int, str)) or (floats and isinstance(obj, float)):
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            field.name: encode_value(getattr(obj, field.name))
+            field.name: encode_value(getattr(obj, field.name), floats)
             for field in dataclasses.fields(obj)
         }
     if isinstance(obj, dict):
-        return {str(key): encode_value(value) for key, value in obj.items()}
+        return {str(key): encode_value(value, floats) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [encode_value(item) for item in obj]
+        return [encode_value(item, floats) for item in obj]
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
 
 
@@ -75,7 +76,7 @@ def results_bytes(results) -> bytes:
 
 
 def render_json(manifest: RunManifest, results) -> str:
-    document = {"manifest": encode_value(manifest), "results": encode_value(results)}
+    document = {"manifest": encode_value(manifest, True), "results": encode_value(results)}
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
@@ -96,7 +97,7 @@ def render_csv(manifest: RunManifest, results) -> str:
     rows = [_flatten(encode_value(record)) for record in results]
     columns = sorted({column for row in rows for column in row})
     out = io.StringIO()
-    for key, value in sorted(encode_value(manifest).items()):
+    for key, value in sorted(encode_value(manifest, True).items()):
         if key in ("started", "finished", "wall_time_s"):
             continue
         out.write(f"# {key}={json.dumps(value, sort_keys=True)}\n")
@@ -110,11 +111,11 @@ def render_csv(manifest: RunManifest, results) -> str:
 def render_text(manifest: RunManifest, results) -> str:
     lines = [
         f"{manifest.subcommand}: {manifest.outcome}",
-        f"  parameters: {json.dumps(encode_value(manifest.parameters), sort_keys=True)}",
+        f"  parameters: {json.dumps(encode_value(manifest.parameters, True), sort_keys=True)}",
         f"  wall time: {manifest.wall_time_s:.3f}s",
     ]
     if manifest.stats:
-        lines.append(f"  stats: {json.dumps(encode_value(manifest.stats), sort_keys=True)}")
+        lines.append(f"  stats: {json.dumps(encode_value(manifest.stats, True), sort_keys=True)}")
     for record in results:
         lines.append("  " + json.dumps(encode_value(record), sort_keys=True))
     return "\n".join(lines) + "\n"

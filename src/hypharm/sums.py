@@ -11,13 +11,14 @@ reasoning about these sums:
   (r+1) / ((a+r+1-eta) * (a-eta)).
 
 Both are the smaller roots of quadratics with exact rational
-coefficients, so each is enclosed by one outward-rounded square root at a
-working precision computed from its inputs.  Every certificate is the
-exact integer sign of a quadratic at a dyadic point (`_sign`): signs at an
-enclosure's two ends prove it holds the root (the whole of
-telescope_check), and two more put eta inside its epsilon bracket.  Where
-the answer is a rational comparison (the eta bands), it is decided
-exactly instead.  No floating point and no interval arithmetic is used.
+coefficients, so each is enclosed by one integer square root at a working
+precision computed from its inputs.  Every certificate is the exact sign
+of a quadratic at a dyadic point m/2^k, evaluated on the integers m and k
+(`_sign`): signs at an enclosure's two ends prove it holds the root (the
+whole of telescope_check), and two more put eta inside its epsilon
+bracket.  The eta bands compare sqrt(D), D = Du/u, with rationals; each
+verdict is decided exactly by cross-multiplying against the integer Du.
+No floating point and no interval arithmetic is used.
 A certificate that cannot be established raises `CertificateError`.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Enclosure, Verdict, require_memory, sqrt_enclosure
+from .kernel import Enclosure, Verdict, require_memory, sqrt_enclosure, sqrt_mantissas
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 1024
@@ -145,21 +146,20 @@ def g_exact(interval: Interval) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _sign(coeffs: tuple[int, int, int], x: Fraction) -> int:
-    """Sign of c2*x^2 + c1*x + c0 at x = num/den: that of c2*num^2 + c1*num*den + c0*den^2."""
+def _sign(coeffs: tuple[int, int, int], m: int, k: int) -> int:
+    """Sign of c2*x^2 + c1*x + c0 at x = m/2^k: that of c2*m^2 + c1*m*2^k + c0*4^k."""
     c2, c1, c0 = coeffs
-    num, den = x.numerator, x.denominator
-    value = c2 * num * num + c1 * num * den + c0 * den * den
+    value = c2 * m * m + ((c1 * m) << k) + (c0 << (2 * k))
     return (value > 0) - (value < 0)
 
 
-def _sign_change(coeffs: tuple[int, int, int], enclosure: Enclosure) -> bool:
-    """True if c2*x^2 + c1*x + c0 is > 0 at enclosure.lo and < 0 at enclosure.hi.
+def _sign_change(coeffs: tuple[int, int, int], lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+    """True if c2*x^2 + c1*x + c0 is > 0 at lo and < 0 at hi, each an (m, k) for m/2^k.
 
     A degenerate enclosure must be an exact root instead: zero at both ends.
     """
-    signs = [_sign(coeffs, enclosure.lo), _sign(coeffs, enclosure.hi)]
-    return signs == ([1, -1] if enclosure.width else [0, 0])
+    signs = [_sign(coeffs, *lo), _sign(coeffs, *hi)]
+    return signs == ([1, -1] if lo[0] << hi[1] != hi[0] << lo[1] else [0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,8 @@ def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ver
     if n < 1:
         raise ValueError("telescope index must be >= 1")
     eps = epsilon(n, precision_bits)
-    if not _sign_change((1, -(2 * n + 1), n), eps):
+    ends = [(x.numerator, x.denominator.bit_length() - 1) for x in (eps.lo, eps.hi)]
+    if not _sign_change((1, -(2 * n + 1), n), *ends):
         return Verdict.FALSIFIED
     if eps.width > Fraction(1, 1 << precision_bits):
         raise CertificateError(f"epsilon({n}) enclosure {eps} is wider than 2^-{precision_bits}")
@@ -231,11 +232,9 @@ class EtaSolution:
     g: Fraction
 
 
-def _discriminant(interval: Interval, g: Fraction) -> Fraction:
-    # D = (r+1)^2 + 4(r+1)/G: the product-form quadratic's discriminant
-    # divided by G^2, so its roots are (2a+r+1 -+ sqrt(D)) / 2.
-    n = interval.r + 1
-    return n * n + 4 * n / g
+def eta_working_bits(interval: Interval, precision_bits: int) -> int:
+    """Bits of solve_eta's square root: w + 1, w = max(p + 8, 2*bitlen(a+r) + 8)."""
+    return max(precision_bits + 8, 2 * interval.end.bit_length() + 8) + 1
 
 
 def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) -> EtaSolution:
@@ -244,13 +243,13 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     eta is the smaller root of G*x^2 - G*(2a+r+1)*x + G*a*(a+r+1) - (r+1),
     the cleared form of G = (r+1) / ((a+r+1-eta) * (a-eta)); G = G(a, r)
     is computed once and returned.  eta = (2a+r+1 - sqrt(D)) / 2 with
-    D = (r+1)^2 + 4(r+1)/G, so one outward-rounded square root at w + 1
-    bits gives an enclosure of width <= 2^-(w+2), with
-    w = max(p + 8, 2*bitlen(a+r) + 8).  It is certified without trusting
-    the square root: the quadratic, evaluated exactly, is positive at its
-    lower end and negative at its upper end (zero at both if degenerate).
-    A width above 2^-precision_bits raises CertificateError as well; since
-    w >= p + 8 that is only a guard, as in telescope_check.
+    D = (r+1)^2 + 4(r+1)/G = Du/u, where G = u/v, Du = (r+1)^2*u + 4(r+1)*v.
+    One integer square root of D at w + 1 bits gives eta's ends as integer
+    mantissas over 2^(w+2), with w = max(p + 8, 2*bitlen(a+r) + 8).  It is
+    certified without trusting the square root: the quadratic, evaluated
+    exactly at those ends, is positive at the lower and negative at the
+    upper one (zero at both if degenerate).  A width above 2^-precision_bits
+    raises CertificateError as well; since w >= p + 8 that is only a guard.
 
     For r >= 1 two more exact signs put eta strictly inside
     (epsilon(a), epsilon(a+r)).  q_n(x) = x^2 - (2n+1)x + n is negative
@@ -261,22 +260,24 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     about r/(8a(a+r)) wide and eta lies well inside it.  A failure of any
     sign raises CertificateError, an ArithmeticError.
     """
-    a, r = interval.a, interval.r
+    a, r, b = interval.a, interval.r, interval.end
     g = g_exact(interval)
     u, v = g.numerator, g.denominator
+    n, s = r + 1, 2 * a + r + 1
     # Integer coefficients of v * quadratic, for exact sign evaluation.
-    coeffs = (u, -u * (2 * a + r + 1), u * a * (a + r + 1) - (r + 1) * v)
-    w = max(precision_bits + 8, 2 * (a + r).bit_length() + 8)
-    root = sqrt_enclosure(_discriminant(interval, g), w + 1)
-    eta = Enclosure((2 * a + r + 1 - root.hi) / 2, (2 * a + r + 1 - root.lo) / 2)
-    if not _sign_change(coeffs, eta):
+    coeffs = (u, -u * s, u * a * (b + 1) - n * v)
+    bits = eta_working_bits(interval, precision_bits)
+    root_lo, root_hi = sqrt_mantissas(n * n * u + 4 * n * v, u, bits)
+    # eta = (s - sqrt(D)) / 2: its ends are lo/2^k and hi/2^k
+    k, lo, hi = bits + 1, (s << bits) - root_hi, (s << bits) - root_lo
+    eta = Enclosure(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
+    if not _sign_change(coeffs, (lo, k), (hi, k)):
         raise CertificateError(
             f"the product-form quadratic does not change sign across {eta} for {interval}"
         )
-    b = a + r
-    if r >= 1 and not _sign((1, -2 * a - 1, a), eta.lo) < 0 < _sign((1, -2 * b - 1, b), eta.hi):
+    if r >= 1 and not _sign((1, -2 * a - 1, a), lo, k) < 0 < _sign((1, -2 * b - 1, b), hi, k):
         raise CertificateError(f"could not certify eta strictly inside the bracket for {interval}")
-    if eta.width > Fraction(1, 1 << precision_bits):
+    if (hi - lo) << precision_bits > 1 << k:
         raise CertificateError(
             f"eta enclosure {eta} for {interval} is wider than 2^-{precision_bits}"
         )
@@ -319,31 +320,31 @@ def eta_band_report(
 ) -> EtaBandReport:
     """Certify the eta bracket band and the quadratic-form band for a window.
 
-    All four comparisons are exact rational ones.  eta is the smaller root
-    of its quadratic, so t = 1 - 2*eta = sqrt(D) - (2a+r) with
-    D = (r+1)^2 + 4(r+1)/G(a, r).  Hence q < t <=> (2a+r+q)^2 < D for any
-    q > -(2a+r), and (4a+2r)*t - 1 + t^2 = D - (2a+r)^2 - 1 exactly.  The
-    enclosure from solve_eta at precision_bits is reported alongside, and
-    its G is the one the comparisons use.
+    All four comparisons are exact integer ones.  eta is the smaller root
+    of its quadratic, so t = 1 - 2*eta = sqrt(D) - c with c = 2a+r and
+    D = Du/u as in solve_eta.  Hence q < t <=> (c+q)^2 < D for any q > -c,
+    and (4a+2r)*t - 1 + t^2 = D - c^2 - 1 = E/u with E = Du - (c^2+1)*u;
+    each verdict is such an inequality cross-multiplied by u and the
+    bounds' denominators.  The enclosure from solve_eta at precision_bits
+    is reported alongside, and its G is the one the comparisons use.
     """
-    a, r = interval.a, interval.r
+    a, r, c = interval.a, interval.r, 2 * interval.a + interval.r
     solution = solve_eta(interval, precision_bits)
-    disc = _discriminant(interval, solution.g)
-    q_lower = Fraction(1, 4 * (a + r) + 1)
-    q_upper = Fraction(2, 4 * a + 1)
-    expr_bound = Fraction(2 * r + 1, 4 * (a + r))
-    expr_exact = disc - (2 * a + r) ** 2 - 1
+    u, v, n = solution.g.numerator, solution.g.denominator, r + 1
+    du = n * n * u + 4 * n * v
+    e = du - (c * c + 1) * u
+    ql, qu, bound_den = 4 * (a + r) + 1, 4 * a + 1, 4 * (a + r)
     return EtaBandReport(
         interval,
         solution,
-        q_lower,
-        q_upper,
-        (2 * a + r + q_lower) ** 2 < disc,
-        disc < (2 * a + r + q_upper) ** 2,
-        expr_bound,
-        expr_exact,
-        -expr_exact < expr_bound,
-        expr_exact < expr_bound,
+        Fraction(1, ql),
+        Fraction(2, qu),
+        (c * ql + 1) ** 2 * u < du * ql * ql,
+        du * qu * qu < (c * qu + 2) ** 2 * u,
+        Fraction(2 * r + 1, bound_den),
+        Fraction(e, u),
+        -e * bound_den < (2 * r + 1) * u,
+        e * bound_den < (2 * r + 1) * u,
     )
 
 

@@ -67,6 +67,18 @@ def eta_bisect(a: int, r: int, iterations: int = 90) -> tuple[Fraction, Fraction
     return lo, hi
 
 
+def eta_closed_form_ends(a: int, r: int, precision_bits: int) -> tuple[Fraction, Fraction]:
+    """eta's enclosure by the Fraction closed form: D = (r+1)^2 + 4(r+1)/G as
+    a Fraction, its root rounded down and up at w + 1 bits with `isqrt`
+    (w = max(p + 8, 2*bitlen(a+r) + 8)), and ends (2a+r+1 - root)/2."""
+    g = window_sum_direct(a, r)
+    d = (r + 1) ** 2 + 4 * (r + 1) / g
+    scale = 2 ** (max(precision_bits + 8, 2 * (a + r).bit_length() + 8) + 1)
+    root_lo = Fraction(math.isqrt(math.floor(d * scale * scale)), scale)
+    root_hi = root_lo if root_lo**2 == d else root_lo + Fraction(1, scale)
+    return (2 * a + r + 1 - root_hi) / 2, (2 * a + r + 1 - root_lo) / 2
+
+
 def disjoint_pairs_by_rejection(count: int, seed: int, max_total: int) -> list[tuple]:
     """(a1, r, a2, s) drawn from r, s <= 24, a1 <= 100, redrawn until they fit.
 

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import resource
@@ -18,7 +19,7 @@ import hypharm.search as search_module
 import hypharm.sums as sums_module
 from hypharm.cli import _VERIFY_BOXES, main
 from hypharm.kernel import Enclosure, decode_dyadic, unlimited_digits
-from hypharm.report import decode_fraction, encode_value, results_bytes
+from hypharm.report import RunManifest, decode_fraction, encode_value, render, results_bytes
 from hypharm.search import SearchConfig, select_moduli
 from hypharm.sums import (
     MAX_PRECISION_BITS,
@@ -332,16 +333,16 @@ def test_verify_that_cannot_certify_exits_one_without_a_report(monkeypatch, caps
     ids=lambda argv: argv[0],
 )
 def test_eta_wider_than_the_precision_exits_one_without_a_report(monkeypatch, capsys, argv):
-    # a square root widened by 2^12 times its width on each side still
-    # holds the root, so every sign holds, but eta's enclosure is then
+    # a square root widened by 2^12 units in the last place on each side
+    # still holds the root, so every sign holds, but eta's enclosure is then
     # wider than 2^-64 and certifies nothing: not a result, not a failure
-    true_sqrt = sums_module.sqrt_enclosure
+    true_sqrt = sums_module.sqrt_mantissas
 
-    def widened(x, precision_bits):
-        root = true_sqrt(x, precision_bits)
-        return Enclosure(root.lo - 4096 * root.width, root.hi + 4096 * root.width)
+    def widened(num, den, e):
+        lo, hi = true_sqrt(num, den, e)
+        return lo - 4096, hi + 4096
 
-    monkeypatch.setattr(sums_module, "sqrt_enclosure", widened)
+    monkeypatch.setattr(sums_module, "sqrt_mantissas", widened)
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -500,6 +501,55 @@ def test_eta_subcommand(tmp_path):
     assert low["hi"] - low["lo"] <= Fraction(1, 2**128)
 
     assert main(["eta", "--a", "0", "--r", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["eta", "--a", "1", "--r", "3", "--precision-bits", "128"],
+            "1903e2c3f2d57818f5c921e76e2c420b29021e844aedb77cc1908237ead1c47c",
+        ),
+        (
+            ["eta", "--a", "40", "--r", "20"],
+            "97f172a0cceca7d594a2f7dd815f046aa90d7d7fd3a2504f96a61806fdb3a004",
+        ),
+    ],
+)
+def test_eta_results_bytes_are_pinned(tmp_path, argv, digest):
+    # the benchmark's golden digests cover search and verify, not eta
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(results_bytes(json.loads(text)["results"])).hexdigest() == digest
+
+
+def test_verify_eta_band_stats_go_to_the_manifest(tmp_path):
+    argv = ["verify", "--lemma", "eta-band", "--a-max", "4", "--r-max", "3"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 1  # the quadratic band fails at a=1, r=1
+    document = json.loads(text)
+    manifest = document["manifest"]
+    assert set(manifest["stats"]) == {"windows", "working_bits", "sweep_s"}
+    assert manifest["stats"]["windows"] == 4 * 4 == document["results"][0]["checked"]
+    assert manifest["stats"]["working_bits"] == 64 + 8 + 1  # w + 1, w = max(p + 8, ...)
+    assert 0 < manifest["stats"]["sweep_s"] <= manifest["wall_time_s"]
+    # at low precision the box's far corner sets w = 2*bitlen(300) + 8
+    argv = ["verify", "--lemma", "eta-band", "--a-max", "300", "--r-max", "0",
+            "--precision-bits", "8"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    stats = json.loads(text)["manifest"]["stats"]
+    assert stats["windows"] == 300 and stats["working_bits"] == 2 * 9 + 8 + 1
+
+
+def test_results_refuse_floats_while_the_manifest_keeps_its_timings(tmp_path):
+    with pytest.raises(TypeError, match="float"):
+        results_bytes([{"checked": 3, "share": 0.5}])
+    manifest = RunManifest("verify", {}, "0", None, "", "", 0.25, "ok", {"sweep_s": 0.125})
+    for fmt in ("json", "csv", "text"):
+        with pytest.raises(TypeError, match="float"):
+            render(manifest, [{"holds": True, "nested": [Fraction(1, 3), 1.5]}], fmt)
+        assert "0.125" in render(manifest, [{"holds": True}], fmt)
 
 
 def test_decompose_subcommand(tmp_path):

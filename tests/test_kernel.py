@@ -17,6 +17,7 @@ from hypharm.kernel import (
     miller_rabin,
     p_adic_valuation,
     sqrt_enclosure,
+    sqrt_mantissas,
     status_kb,
 )
 
@@ -128,6 +129,19 @@ def test_sqrt_enclosure_contract(x, bits):
     enc = sqrt_enclosure(x, bits)
     assert enc.lo**2 <= x <= enc.hi**2
     assert enc.width <= Fraction(1, 2**bits)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**30),
+    st.integers(min_value=1, max_value=10**12),
+    st.integers(min_value=1, max_value=96),
+)
+@settings(max_examples=200)
+def test_sqrt_mantissas_contract(num, den, e):
+    lo, hi = sqrt_mantissas(num, den, e)
+    assert lo * lo * den <= num * 4**e <= hi * hi * den
+    assert hi - lo == (lo * lo * den != num * 4**e)  # one unit, or an exact square
+    assert sqrt_enclosure(Fraction(num, den), e) == Enclosure(Fraction(lo, 2**e), Fraction(hi, 2**e))
 
 
 def test_sqrt_enclosure_narrows_monotonically():

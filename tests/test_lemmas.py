@@ -458,7 +458,8 @@ def test_eta_paths_compute_each_sum_once(monkeypatch):
     # bracket by signs alone; the bracket identity reuses both windows' G
     calls = collections.Counter()
     for module, name in ((hypharm.sums, "g_exact"), (hypharm.lemmas, "g_exact"),
-                         (hypharm.sums, "epsilon"), (hypharm.sums, "sqrt_enclosure")):
+                         (hypharm.sums, "epsilon"), (hypharm.sums, "sqrt_mantissas"),
+                         (hypharm.sums, "sqrt_enclosure")):
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
@@ -467,7 +468,7 @@ def test_eta_paths_compute_each_sum_once(monkeypatch):
     for a, r in ((1, 0), (1, 1), (40, 20), (2**70, 3)):
         calls.clear()
         solve_eta(Interval(a, r), 64)
-        assert calls == {"g_exact": 1, "sqrt_enclosure": 1}, (a, r)
+        assert calls == {"g_exact": 1, "sqrt_mantissas": 1}, (a, r)
     pairs = random_disjoint_pairs(25, seed=1)
     calls.clear()
     for pair in pairs:
@@ -478,7 +479,8 @@ def test_eta_paths_compute_each_sum_once(monkeypatch):
     calls.clear()
     argv = ["verify", "--lemma", "eta-band", "--a-max", "4", "--r-max", "3", "--format", "json"]
     assert hypharm.cli.main(argv) == 1  # the quadratic band fails at a=1, r=1
-    assert calls == {"g_exact": 4 * 4, "sqrt_enclosure": 4 * 4}
+    assert calls == {"g_exact": 4 * 4, "sqrt_mantissas": 4 * 4}
+    assert calls["sqrt_enclosure"] == 0  # the eta path never builds a root as Fractions
 
 
 def test_random_pairs_need_room_for_a_disjoint_pair():

@@ -276,19 +276,56 @@ def test_solve_eta_rejects_a_root_outside_the_bracket(monkeypatch, scale):
             solve_eta(Interval(a, r), 64)
 
 
+@pytest.mark.parametrize("moved", ["root_lo", "root_hi"])
+def test_solve_eta_checks_each_bracket_side_at_its_own_end(monkeypatch, moved):
+    # moving one end of the square root by 1/2 moves the opposite end of
+    # eta by 1/4, out of its epsilon bracket, while the root stays inside
+    # the enclosure; the end that did not move still lies inside the
+    # bracket, so only a sign taken at the moved end catches it
+    true_sqrt = hypharm.sums.sqrt_mantissas
+
+    def one_end_out(num, den, e):
+        lo, hi = true_sqrt(num, den, e)
+        half = 1 << (e - 1)
+        return (lo - half, hi) if moved == "root_lo" else (lo, hi + half)
+
+    monkeypatch.setattr(hypharm.sums, "sqrt_mantissas", one_end_out)
+    for a, r in ((1, 1), (5, 3), (40, 20)):
+        with pytest.raises(CertificateError, match="strictly inside"):
+            solve_eta(Interval(a, r), 64)
+
+
 def test_solve_eta_rejects_an_enclosure_that_misses_the_root(monkeypatch):
-    # a square root moved by its own width moves eta's enclosure off the
-    # root, so the product-form quadratic has one sign across it
-    true_sqrt = hypharm.sums.sqrt_enclosure
+    # a square root moved by one unit in the last place (its own width)
+    # moves eta's enclosure off the root, so the product-form quadratic has
+    # one sign across it
+    true_sqrt = hypharm.sums.sqrt_mantissas
 
-    def shifted(x, precision_bits):
-        root = true_sqrt(x, precision_bits)
-        return Enclosure(root.lo + root.width, root.hi + root.width)
+    def shifted(num, den, e):
+        lo, hi = true_sqrt(num, den, e)
+        return lo + 1, hi + 1
 
-    monkeypatch.setattr(hypharm.sums, "sqrt_enclosure", shifted)
+    monkeypatch.setattr(hypharm.sums, "sqrt_mantissas", shifted)
     for a, r in ((1, 1), (5, 3), (40, 20), (3, 0)):
         with pytest.raises(CertificateError, match="does not change sign"):
             solve_eta(Interval(a, r), 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=256),
+)
+def test_solve_eta_ends_equal_the_fraction_closed_form(a, r, p):
+    eta = solve_eta(Interval(a, r), p).eta
+    assert (eta.lo, eta.hi) == oracles.eta_closed_form_ends(a, r, p)
+
+
+@pytest.mark.parametrize("a, r", [(1, 0), (10**6, 3), (2**70, 1)])
+def test_solve_eta_ends_equal_the_fraction_closed_form_at_1024_bits(a, r):
+    eta = solve_eta(Interval(a, r), 1024).eta
+    assert (eta.lo, eta.hi) == oracles.eta_closed_form_ends(a, r, 1024)
 
 
 # -- band reports --
