@@ -270,13 +270,13 @@ def _pair(args) -> tuple[IntervalPair, dict]:
 
 def cmd_decompose(args) -> Run:
     pair, parameters = _pair(args)
-    if not pair.disjoint:
+    if not (pair.disjoint or pair.nested):
         flags = " ".join(f"--{flag} {value}" for flag, value in parameters.items())
         raise ValueError(
             f"windows overlap or touch; run `hypharm reduce {flags}` "
             "to rewrite them as a disjoint pair first"
         )
-    # the pair is disjoint, so the chain's report carries the full decomposition
+    # the decomposition refuses a nested pair; a disjoint one's chain report carries it in full
     report = lemmas.check_positivity_chain(pair)
     results = [
         {

@@ -496,7 +496,8 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
     against direct summation for the given extents.
     """
     if not pair.disjoint:
-        raise ValueError(f"{pair} overlaps; reduce it to a disjoint pair first")
+        hint = "one window holds the other" if pair.nested else "reduce it to a disjoint pair first"
+        raise ValueError(f"{pair} overlaps; {hint}")
     r, s = pair.first.r, pair.second.r
     terms, difference = _decomposition_terms(pair)
     gap = compute_L(r, s)

@@ -34,19 +34,22 @@ collisions still certifies every window: an equal pair inside an end
 block shows up as the disjoint pair it reduces to.  Memory is set by the
 largest gap block with its probes, not by the N(N+1)/2 windows.
 
-Inside a gap block `BlockScreen` sorts the residues modulo the first
-prime.  Only if one repeats does it walk the block's windows one by one
+Inside a gap block `BlockScreen` writes the residues modulo the first
+prime of the gap windows and the probes into one column and sorts it
+once.  Only if one repeats does it walk the block's windows one by one
 and fingerprint those whose first residue repeats; the other moduli's
-prefix arrays are built only then.  It calls nothing that loads numpy.ma
-(np.unique does).  `search` imports this module when it runs, so the
-other subcommands neither load numpy nor compile the screen.
+prefix arrays are built only then.  Two probes are compared one level
+down, so the probes are walked only for the repeated residues that a gap
+window holds.  It calls nothing that loads numpy.ma (np.unique does).
+`search` imports this module when it runs, so the other subcommands
+neither load numpy nor compile the screen.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from itertools import combinations
+from itertools import chain, combinations
 
 from .kernel import PrimeSieve
 from .sums import Interval, IntervalPair
@@ -55,10 +58,6 @@ from .sums import Interval, IntervalPair
 # sums imply equal fingerprints (each component is the sum mod p).
 Fingerprint = tuple[int, ...]
 
-# Memory charged per gap window of the level with the most, beside its
-# 8-byte residue: the repeat mask and the probe lookup's index, gathered
-# values and mask, 17.25 bytes measured by tracemalloc.
-_LOOKUP_BYTES = 18
 # Memory charged per integer up to N besides the 8-byte prefix entries:
 # the scratch of one run of windows, at most 30 bytes an integer.
 _SCRATCH_BYTES = 32
@@ -118,12 +117,11 @@ def partition(n: int) -> list[Level]:
 
 def memory_charge(levels: list[Level], n: int, modulus_count: int) -> tuple[int, int]:
     """(windows of the largest gap block with its probes, bytes the screen
-    needs) for the bound n: the shared buffer of 8 bytes per window of that
-    block, the lookup bytes of the level with the most gap windows, and the
-    prefix arrays and scratch per integer up to n."""
+    needs) for the bound n: per window of that block, 8 bytes of the one
+    sorted column of gap windows and probes and 1 byte of its repeat mask;
+    per integer up to n, the prefix arrays and scratch."""
     largest = max(level.gap_windows + level.probe_windows for level in levels)
-    lookup = _LOOKUP_BYTES * max(level.gap_windows for level in levels)
-    return largest, 8 * largest + lookup + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
+    return largest, 9 * largest + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
 
 
 def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
@@ -184,15 +182,10 @@ class BlockScreen:
         b0 = a0 + length - 1
         return self._reduce(prefix[b0 : b0 + count] - prefix[a0 - 1 : a0 - 1 + count])
 
-    def _found(self, values, needles):
-        """Which needles occur in the sorted array values."""
-        np = self.np
-        return np.take(values, np.searchsorted(values, needles), mode="clip") == needles
-
-    def _filled(self, runs, start: int, size: int):
-        """The first residues of the runs' kept windows, in buffer[start:start + size]."""
+    def _filled(self, runs, size: int):
+        """The first residues of the runs' kept windows, in buffer[:size]."""
         t0 = time.perf_counter()
-        keys = self.buffer[start : start + size]
+        keys = self.buffer[:size]
         filled = 0
         for a0, count, length, keep in runs:
             run = self._residues(a0, count, length)
@@ -218,16 +211,11 @@ class BlockScreen:
                 yield q1 + 1, count, length, room[:count] >= length
 
         probe_runs = ((1, q1 - length, length, None) for length in range(1, longest))
-        keys = self._filled(gap_runs(), 0, level.gap_windows)
-        probes = self._filled(probe_runs, keys.size, level.probe_windows)
+        keys = self._filled(chain(gap_runs(), probe_runs), level.gap_windows + level.probe_windows)
         t0 = time.perf_counter()
         keys.sort()
-        # the values that occur more than once among the gap windows (with repeats)
+        # the values that occur more than once in the block (with repeats)
         repeated = keys[1:][keys[1:] == keys[:-1]]
-        probes.sort()
-        if probes.size:
-            # sorted needles, so each binary search starts where the last ended
-            repeated = np.concatenate((repeated, keys[self._found(probes, keys)]))
         self.sort_s += time.perf_counter() - t0
         if repeated.size:
             gaps = (
@@ -261,6 +249,11 @@ class BlockScreen:
                         for modulus, column in zip(self.moduli, self.prefixes)
                     )
                     by_print.setdefault(fingerprint, ([], []))[side].append(Interval(a, b - a))
+            # two probes are compared one level down, so a probe is walked
+            # only for a first residue that one of the gap windows holds
+            repeats = {fingerprint[0] for fingerprint in by_print}
+            if not repeats:
+                break
         for own, probes in by_print.values():
             pairs = _pairs(own, probes)
             if pairs:

@@ -96,6 +96,11 @@ class IntervalPair:
     def overlapping(self) -> bool:
         return not self.disjoint
 
+    @property
+    def nested(self) -> bool:
+        """One window holds the other, so no overlap reduction applies."""
+        return self.first.a == self.second.a or self.second.end <= self.first.end
+
     def __str__(self) -> str:
         return f"({self.first}, {self.second})"
 
@@ -361,14 +366,13 @@ def reduce_overlap(pair: IntervalPair) -> IntervalPair:
     G(a1, a2-a1-1) - G(a1+r+1, a2+s-a1-r-1) = G(a1, r) - G(a2, s)
     exactly, as an unconditional rearrangement.
     """
+    if pair.disjoint:
+        raise ValueError(f"{pair} is already disjoint")
+    if pair.nested:
+        raise ValueError(f"{pair} overlaps; one window holds the other")
     a1, r = pair.first.a, pair.first.r
     a2, s = pair.second.a, pair.second.r
-    if not (a1 < a2 <= a1 + r):
-        raise ValueError(f"{pair} does not overlap with distinct starts")
-    tail_extent = a2 + s - a1 - r - 1
-    if tail_extent < 0:
-        raise ValueError(f"second window of {pair} ends inside the first")
     return IntervalPair(
         Interval(a1, a2 - a1 - 1),
-        Interval(a1 + r + 1, tail_extent),
+        Interval(a1 + r + 1, a2 + s - a1 - r - 1),
     )

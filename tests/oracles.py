@@ -314,7 +314,7 @@ def block_screen_counts(n: int, moduli: tuple[int, ...], exponent: int = 2) -> d
     """The search's screen counters, block by block over `screen_blocks`.
 
     duplicate_keys: per block, the distinct residues mod moduli[0] that
-    two own windows share, or an own window and a probe.  screen_groups,
+    two or more of its windows share, own windows or probes.  screen_groups,
     largest_group and exact_confirmations: per block, the classes of
     windows that agree modulo every prime and hold two own windows, or one
     and a probe, and their sizes.  A window counts once in its own block
@@ -328,11 +328,8 @@ def block_screen_counts(n: int, moduli: tuple[int, ...], exponent: int = 2) -> d
         ("duplicate_keys", "screen_groups", "largest_group", "exact_confirmations"), 0
     )
     for own, probes in screen_blocks(n):
-        first_counts = Counter(residues[window][0] for window in own)
-        probe_firsts = {residues[window][0] for window in probes}
-        counts["duplicate_keys"] += sum(
-            1 for value, count in first_counts.items() if count > 1 or value in probe_firsts
-        )
+        first_counts = Counter(residues[window][0] for window in (*own, *probes))
+        counts["duplicate_keys"] += sum(1 for count in first_counts.values() if count > 1)
         classes: dict[tuple[int, ...], list[int]] = {}
         for side, windows in enumerate((own, probes)):
             for window in windows:

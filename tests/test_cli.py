@@ -61,10 +61,10 @@ def test_search_usage_error_exit_two(tmp_path, capsys):
 
 
 def test_search_beyond_physical_memory_exits_two_before_any_work(monkeypatch, capsys):
-    # N = 10^7 is charged 8.24 GB (a largest block of 815 million windows,
-    # 65 million gap windows in one level, three prefix arrays), more than
-    # a 4 GiB machine has; the guard must fire before the moduli, the
-    # prefix arrays or the screen's buffer exist
+    # N = 10^7 is charged 7.89 GB (a largest block of 815 million windows
+    # at 9 B each, three prefix arrays), more than a 4 GiB machine has;
+    # the guard must fire before the moduli, the prefix arrays or the
+    # screen's buffer exist
     def unreachable(*args):
         raise AssertionError("search started work past the memory guard")
 
@@ -167,15 +167,13 @@ def _largest_screen_block(n):
 
 
 def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
-    # 8 B per window of the largest block (the shared buffer), 18 B per gap
-    # window of the level with the most (the repeat mask and probe lookup),
-    # plus 8 B per integer up to N for each of the 3 prefix arrays and 32 B
-    # for the scratch of one run of windows: one byte less is refused, and
-    # the search runs at exactly that much
+    # 9 B per window of the largest block (the shared buffer and the repeat
+    # mask), plus 8 B per integer up to N for each of the 3 prefix arrays
+    # and 32 B for the scratch of one run of windows: one byte less is
+    # refused, and the search runs at exactly that much
     assert _largest_screen_block(1000) == 10884
-    most_gaps = max(level["gap_windows"] for level in oracles.screen_levels(1000))
-    charge = 8 * _largest_screen_block(1000) + 18 * most_gaps + (8 * 3 + 32) * 1001
-    assert charge == 179_146
+    charge = 9 * _largest_screen_block(1000) + (8 * 3 + 32) * 1001
+    assert charge == 154_012
     monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
     assert f"needs {charge} bytes" in capsys.readouterr().err
@@ -267,15 +265,20 @@ def test_flags_a_subcommand_never_reads_exit_two(argv, capsys):
         ["verify", "--lemma", "bertrand", "--n-max", "1"],
         ["eta", "--a", "0"],
         ["decompose", "--a1", "2", "--r", "3", "--a2", "4", "--s", "5"],
+        ["decompose", "--a1", "1", "--r", "5", "--a2", "2", "--s", "1"],
+        ["decompose", "--a1", "3", "--r", "2", "--a2", "3", "--s", "4"],
         ["reduce", "--a1", "1", "--r", "0", "--a2", "5", "--s", "0"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["search", "verify", "eta", "decompose", "decompose-inside", "decompose-one-start", "reduce"],
 )
 def test_usage_errors_exit_two_with_one_message_and_no_report(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"hypharm {argv[0]}: ") and err.count("\n") == 1, err
+    if argv[0] == "decompose":
+        # `hypharm reduce` is suggested only for a pair that it accepts
+        assert ("hypharm reduce" in err) == (main(["reduce", *argv[1:]]) == 0), err
 
 
 def test_unwritable_output_exits_two(tmp_path, capsys):

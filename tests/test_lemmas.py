@@ -204,6 +204,30 @@ def test_search_matches_literal_quadruple_loop():
     assert search_necessary_identity(60, 8) == oracles.e11_quadruple_loop(60, 8)
 
 
+def test_necessary_identity_solutions_are_square_roots_of_minus_one():
+    # with m = r+1, n = s+1, X = 2a1+r and Y = 2a2+s the identity reads
+    # m(Y^2 + 1) - n(X^2 + 1) = mn(n - m); with g = gcd(m, n), reducing it
+    # mod n/g and mod m/g gives Y^2 = -1 (mod n/g) and X^2 = -1 (mod m/g),
+    # and -1 has no square root modulo 4 or a prime 3 (mod 4)
+    def prime_factors(k):
+        factors, d = set(), 2
+        while d * d <= k:
+            while k % d == 0:
+                factors.add(d)
+                k //= d
+            d += 1
+        return factors | ({k} if k > 1 else set())
+
+    found = search_necessary_identity(300, 30)
+    assert len(found) == 9336 and len({(r, s) for _, r, _, s in found}) == 45
+    for a1, r, a2, s in found:
+        m, n = r + 1, s + 1
+        g = math.gcd(m, n)
+        for root, modulus in ((2 * a1 + r, m // g), (2 * a2 + s, n // g)):
+            assert (root * root + 1) % modulus == 0, (a1, r, a2, s)
+            assert modulus % 4 and all(q % 4 != 3 for q in prime_factors(modulus)), (a1, r, a2, s)
+
+
 def test_solve_second_start_inverts_bracket():
     for a1, r, s in ((3, 0, 16), (12, 3, 19), (5, 1, 25)):
         a2 = solve_second_start(a1, r, s)
@@ -274,8 +298,12 @@ def test_decomposition_matches_reference_on_random_pairs():
 
 
 def test_decomposition_rejects_overlap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reduce it to a disjoint pair first"):
         taylor_decompose(IntervalPair(Interval(1, 4), Interval(3, 4)))
+    for pair in (IntervalPair(Interval(1, 5), Interval(2, 1)), IntervalPair(Interval(3, 2), Interval(3, 4))):
+        with pytest.raises(ValueError, match="one window holds the other") as caught:
+            taylor_decompose(pair)
+        assert "reduce it" not in str(caught.value)
 
 
 def test_rewrites_hold_on_identity_solutions():

@@ -214,24 +214,57 @@ def test_partition_covers_every_window_once(n):
     gaps = sum(level.gap_windows for level in levels)
     # the 1 is [1, 1], which no level takes
     assert ends + gaps + 1 == n * (n + 1) // 2
-    # 8 B per window of the largest block, 18 B per gap window of the level
-    # with the most, and per integer 8 B of prefix array and 32 B of scratch
+    # 9 B per window of the largest block (its residue and its byte of the
+    # repeat mask), and per integer 8 B of prefix array and 32 B of scratch
     largest, charge = memory_charge(levels, n, 1)
     assert largest == max(level.gap_windows + level.probe_windows for level in levels)
-    most_gaps = max(level.gap_windows for level in levels)
-    assert charge == 8 * largest + 18 * most_gaps + (8 + 32) * (n + 1)
+    assert charge == 9 * largest + (8 + 32) * (n + 1)
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
 @pytest.mark.parametrize("moduli", [(61,), (211, 223)], ids=["p61", "p211-p223"])
 def test_duplicate_keys_count_the_repeated_first_residues(monkeypatch, moduli, exponent):
-    # read off each block's sorted column and its probe lookup, the repeats
-    # must be the distinct first residues that occur more than once in the
-    # block, counted here window by window
+    # read off each block's one sorted column of gap windows and probes,
+    # the repeats must be the distinct first residues that occur more than
+    # once in the block, counted here window by window
     monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
     report = search(SearchConfig(max_n=60, exponent=exponent, modulus_count=len(moduli)))
     expected = oracles.block_screen_counts(60, moduli, exponent)["duplicate_keys"]
     assert report.stats["duplicate_keys"] == expected > 0
+
+
+def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
+    # at N = 60 the level M = 16 has q_1 = 11, gap windows in [12, 16] and
+    # probes of one or two terms in [1, 10].  Modulo 137 its only repeated
+    # first residue is held by the probes [10, 10] and [8, 9]: 1/100 and
+    # 145/5184 agree, as 14500 - 5184 = 68 * 137.  Two probes are compared
+    # one level down, so pass 2 must not walk, let alone fingerprint, a
+    # probe: no column is read at an index below q_1, where every probe ends
+    n, moduli = 60, (137, 211)
+    level = next(level for level in partition(n) if level.top == 16)
+    q1 = int(level.primes[0])
+    sums = [window_power_sum(Interval(a, b - a), 2) for a, b in ((10, 10), (8, 9))]
+    residues = {value.numerator * pow(value.denominator, -1, moduli[0]) % moduli[0] for value in sums}
+    assert q1 == 11 and len(residues) == 1 and sums[0] != sums[1]
+    reads = []
+
+    class Column:
+        def __init__(self, array):
+            self.array = array
+
+        def __getitem__(self, index):
+            if isinstance(index, int):
+                reads.append(index)
+            return self.array[index]
+
+    blocks = BlockScreen(
+        moduli, level.gap_windows + level.probe_windows,
+        lambda p: Column(prefix_residues(n, p, 2)), lambda interval: None,
+    )
+    blocks.gap_block(level)
+    assert blocks.duplicate_keys == 1
+    assert reads and min(reads) >= q1
+    assert blocks.screen_pairs == blocks.exact_pairs == []
 
 
 def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
@@ -257,8 +290,8 @@ def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
 @pytest.mark.parametrize("n", [1000, 20_000])
 def test_block_screen_peak_stays_within_its_charge(n):
     # with the prefix array built beforehand, what the screen allocates is
-    # the shared buffer, the lookup of one level's gap windows and the
-    # scratch of one run: the charge less its prefix arrays must hold it
+    # the shared buffer, the repeat mask of one block and the scratch of
+    # one run: the charge less its prefix arrays must hold it
     config = SearchConfig(max_n=n)
     moduli = select_moduli(config)
     prefix = prefix_residues(n, moduli[0], config.exponent)

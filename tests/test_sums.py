@@ -385,9 +385,10 @@ def test_reduce_overlap_examples():
 def test_reduce_overlap_rejects_disjoint_and_contained():
     with pytest.raises(ValueError):
         reduce_overlap(IntervalPair(Interval(1, 0), Interval(5, 0)))
-    with pytest.raises(ValueError):
-        # second window ends inside the first: tail extent would be negative
-        reduce_overlap(IntervalPair(Interval(1, 10), Interval(3, 1)))
+    for contained in (IntervalPair(Interval(1, 10), Interval(3, 1)), IntervalPair(Interval(3, 2), Interval(3, 4))):
+        # one window holds the other: no reduction makes them disjoint
+        with pytest.raises(ValueError, match="one window holds the other"):
+            reduce_overlap(contained)
 
 
 def test_reduce_overlap_preserves_difference_on_random_pairs():
