@@ -17,8 +17,8 @@ raises ValueError for a usage error.  `main` alone turns that, or a
 `CertificateError`, into the report or the stderr message and the exit
 code; any other exception is a bug and propagates as a traceback.  All
 randomness is seeded, so reruns with equal parameters emit byte-identical
-result payloads; `search` and `verify --lemma eta-band` add their
-timings and counters to the manifest, not to the results.
+result payloads; `search` and the `eta-band` and `e11-search` verifies add
+their timings and counters to the manifest, not to the results.
 """
 
 from __future__ import annotations
@@ -209,6 +209,11 @@ def cmd_verify(args) -> Run:
     if args.lemma == "eta-band":  # the box's far corner needs the most square-root bits
         bits = eta_working_bits(Interval(params["a_max"], params["r_max"]), args.precision_bits)
         stats = {"windows": sweeps[0].checked, "working_bits": bits, "sweep_s": sweep_s}
+    if args.lemma == "e11-search":  # every window of the box is one trivial solution
+        notes, windows = sweeps[0].notes, params["a_max"] * (params["w_max"] + 1)
+        stats = {"windows": windows, "nontrivial_solutions": sweeps[0].checked - windows}
+        stats |= {key: len(notes[key]) for key in ("disjoint", "chain_eligible")}
+        stats["sweep_s"] = sweep_s
     all_hold = all(sweep.holds for sweep in sweeps)
     results = [
         {

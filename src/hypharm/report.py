@@ -2,9 +2,9 @@
 
 A report is a single object {"manifest": ..., "results": [...]}.  The
 manifest carries run metadata (parameters, version, seed, timestamps,
-wall time, and for `search` the phase timings and screen counters in
-`stats`); the results are pure data, so reruns with equal parameters
-produce byte-identical result encodings regardless of timing.
+wall time, and the `stats` of `search` and of the `eta-band` and
+`e11-search` verifies); the results are pure data, so reruns with equal
+parameters produce byte-identical result encodings regardless of timing.
 Rationals are encoded as "num/den" strings, enclosure endpoints as
 "m*2^e" strings, both losslessly, at any size.
 """

@@ -128,6 +128,19 @@ def test_bertrand_beyond_the_address_space_headroom_exits_two_before_sieving():
     assert "Traceback" not in proc.stderr
 
 
+def test_e11_search_beyond_the_address_space_headroom_exits_two_before_grouping():
+    # 10^6 windows are charged 480 MB, more than is left under a 256 MiB
+    # RLIMIT_AS; the guard must refuse the box instead of letting the
+    # grouping raise MemoryError part way through
+    argv = ["verify", "--lemma", "e11-search", "--a-max", "1000000", "--w-max", "0"]
+    proc = run_capped(argv, 256 << 20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "the identity search over 1000000 windows needs 480000000 bytes" in proc.stderr
+    assert "left under the address-space limit (RLIMIT_AS)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -543,6 +556,24 @@ def test_verify_eta_band_stats_go_to_the_manifest(tmp_path):
     assert code == 0
     stats = json.loads(text)["manifest"]["stats"]
     assert stats["windows"] == 300 and stats["working_bits"] == 2 * 9 + 8 + 1
+
+
+def test_verify_e11_search_stats_go_to_the_manifest(tmp_path):
+    # of the 9,336 solutions in the lemma-mix box, 9,300 pair a window with
+    # itself, 14 are disjoint and none meets the chain's hypotheses
+    argv = ["verify", "--lemma", "e11-search", "--a-max", "300", "--w-max", "30"]
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    document = json.loads(text)
+    stats = document["manifest"]["stats"]
+    assert set(stats) == {"windows", "nontrivial_solutions", "disjoint", "chain_eligible", "sweep_s"}
+    (result,) = document["results"]
+    assert stats["windows"] == 300 * 31 == 9300
+    assert stats["nontrivial_solutions"] == result["checked"] - 9300 == 36
+    assert stats["disjoint"] == len(result["notes"]["disjoint"]) == 14
+    assert stats["chain_eligible"] == len(result["notes"]["chain_eligible"]) == 0
+    assert 0 < stats["sweep_s"] <= document["manifest"]["wall_time_s"]
+    assert set(result) == {"claim", "params", "checked", "holds", "failure_count", "failures", "notes"}
 
 
 def test_results_refuse_floats_while_the_manifest_keeps_its_timings(tmp_path):

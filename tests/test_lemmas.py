@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -30,7 +31,6 @@ from hypharm.lemmas import (
     random_disjoint_pairs,
     search_necessary_identity,
     SweepResult,
-    solve_second_start,
     sweep_bertrand,
     sweep_bracket_identity,
     sweep_decompose,
@@ -201,7 +201,44 @@ def test_necessary_identity_basic_cases():
 
 
 def test_search_matches_literal_quadruple_loop():
-    assert search_necessary_identity(60, 8) == oracles.e11_quadruple_loop(60, 8)
+    for box in ((1, 0), (2, 1), (30, 25), (60, 8)):
+        assert search_necessary_identity(*box) == oracles.e11_quadruple_loop(*box), box
+    # disjoint solutions found earlier by solving the identity for a2
+    found = search_necessary_identity(30, 25)
+    for a1, r, a2, s in ((3, 0, 7, 16), (12, 3, 22, 19), (5, 1, 11, 25), (2, 0, 4, 24)):
+        assert (r + 1) * diophantine_bracket(a2, s) == (s + 1) * diophantine_bracket(a1, r)
+        assert (a1, r, a2, s) in found and (a2, s, a1, r) in found
+
+
+def test_search_guards_its_grouping_before_building_it(monkeypatch):
+    # the grouping holds every window of the box at once, 480 B each: the
+    # search runs at exactly that much memory, and one byte less must be
+    # refused before any bracket is computed
+    def unreachable(*args):
+        raise AssertionError("the identity search started past the memory guard")
+
+    monkeypatch.setattr(hypharm.kernel, "physical_memory", lambda: 480 * 300 * 31)
+    assert len(search_necessary_identity(300, 30)) == 9336
+    monkeypatch.setattr(hypharm.kernel, "physical_memory", lambda: 480 * 300 * 31 - 1)
+    monkeypatch.setattr(hypharm.lemmas, "diophantine_bracket", unreachable)
+    with pytest.raises(ValueError, match="identity search over 9300 windows"):
+        search_necessary_identity(300, 30)
+
+
+@pytest.mark.parametrize("box", [(300, 30), (30, 300)])
+def test_search_peak_stays_within_its_charge(monkeypatch, box):
+    # the traced peak, result list included, must lie under the charge and
+    # above half of it; w > 256 gives each (a, w) tuple an int of its own
+    charges = []
+    monkeypatch.setattr(hypharm.lemmas, "require_memory", lambda nbytes, what: charges.append(nbytes))
+    tracemalloc.start()
+    try:
+        search_necessary_identity(*box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (charge,) = charges
+    assert charge // 2 < peak <= charge
 
 
 def test_necessary_identity_solutions_are_square_roots_of_minus_one():
@@ -226,13 +263,6 @@ def test_necessary_identity_solutions_are_square_roots_of_minus_one():
         for root, modulus in ((2 * a1 + r, m // g), (2 * a2 + s, n // g)):
             assert (root * root + 1) % modulus == 0, (a1, r, a2, s)
             assert modulus % 4 and all(q % 4 != 3 for q in prime_factors(modulus)), (a1, r, a2, s)
-
-
-def test_solve_second_start_inverts_bracket():
-    for a1, r, s in ((3, 0, 16), (12, 3, 19), (5, 1, 25)):
-        a2 = solve_second_start(a1, r, s)
-        assert a2 is not None
-        assert (r + 1) * diophantine_bracket(a2, s) == (s + 1) * diophantine_bracket(a1, r)
 
 
 def test_equivalence_of_three_forms():

@@ -287,11 +287,13 @@ def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
     assert built == [211, 223]
 
 
-@pytest.mark.parametrize("n", [1000, 20_000])
+@pytest.mark.parametrize("n", [20_000, 40_000])
 def test_block_screen_peak_stays_within_its_charge(n):
     # with the prefix array built beforehand, what the screen allocates is
     # the shared buffer, the repeat mask of one block and the scratch of
-    # one run: the charge less its prefix arrays must hold it
+    # one run: the charge less its prefix arrays must hold it.  At these
+    # bounds it holds it with less than a byte per window of the largest
+    # block to spare, so a charge that left out the mask would not
     config = SearchConfig(max_n=n)
     moduli = select_moduli(config)
     prefix = prefix_residues(n, moduli[0], config.exponent)
@@ -305,7 +307,7 @@ def test_block_screen_peak_stays_within_its_charge(n):
     finally:
         tracemalloc.stop()
     assert blocks.duplicate_keys == 0
-    assert 8 * largest < peak <= charge - 8 * len(moduli) * (n + 1)
+    assert 9 * largest < peak <= charge - 8 * len(moduli) * (n + 1)
 
 
 def test_prefix_s_leaves_out_numpys_import(monkeypatch):
