@@ -203,11 +203,16 @@ def test_necessary_identity_basic_cases():
 def test_search_matches_literal_quadruple_loop():
     for box in ((1, 0), (2, 1), (30, 25), (60, 8)):
         assert search_necessary_identity(*box) == oracles.e11_quadruple_loop(*box), box
-    # disjoint solutions found earlier by solving the identity for a2
+
+
+def test_solve_second_start_inverts_bracket():
+    # the bracket is strictly increasing in a2, so each (a1, r, s) admits at
+    # most one a2: the search must find exactly that one, in both orders
     found = search_necessary_identity(30, 25)
     for a1, r, a2, s in ((3, 0, 7, 16), (12, 3, 22, 19), (5, 1, 11, 25), (2, 0, 4, 24)):
+        assert [q[2] for q in found if (q[0], q[1], q[3]) == (a1, r, s)] == [a2]
         assert (r + 1) * diophantine_bracket(a2, s) == (s + 1) * diophantine_bracket(a1, r)
-        assert (a1, r, a2, s) in found and (a2, s, a1, r) in found
+        assert (a2, s, a1, r) in found
 
 
 def test_search_guards_its_grouping_before_building_it(monkeypatch):
