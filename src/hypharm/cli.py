@@ -27,10 +27,8 @@ import argparse
 import datetime
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
-from . import lemmas
 from .report import RunManifest, render
 from .search import SearchConfig, search
 from .sums import (
@@ -51,15 +49,17 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
 class Run:
     """What a handler computed: the report's content and the exit code."""
 
-    parameters: dict
-    results: list
-    outcome: str
-    exit_code: int = EXIT_OK
-    stats: dict = field(default_factory=dict)
+    def __init__(
+        self, parameters: dict, results: list, outcome: str, exit_code=EXIT_OK, stats=None
+    ):
+        self.parameters = parameters
+        self.results = results
+        self.outcome = outcome
+        self.exit_code = exit_code
+        self.stats = {} if stats is None else stats
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -175,7 +175,10 @@ def _verify_box(args) -> dict:
     return box
 
 
-def _run_verify(args) -> tuple[list[lemmas.SweepResult], dict]:
+def _run_verify(args) -> tuple[list, dict]:
+    """The lemma's `lemmas.SweepResult`s and the report's parameters."""
+    from . import lemmas  # eta, reduce and search never load the lemmas
+
     box = _verify_box(args)
     lemma, bits, seed = args.lemma, args.precision_bits, args.seed
     if lemma == "bertrand":
@@ -281,6 +284,8 @@ def cmd_decompose(args) -> Run:
             f"windows overlap or touch; run `hypharm reduce {flags}` "
             "to rewrite them as a disjoint pair first"
         )
+    from . import lemmas
+
     # the decomposition refuses a nested pair; a disjoint one's chain report carries it in full
     report = lemmas.check_positivity_chain(pair)
     results = [

@@ -19,7 +19,7 @@ import math
 import os
 import resource
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -77,22 +77,21 @@ def decode_dyadic(text: str) -> Fraction:
     return Fraction(m) * Fraction(2) ** e
 
 
-@dataclass(frozen=True)
-class Enclosure:
-    """Interval [lo, hi] around a real value, with dyadic endpoints.
+class Enclosure(namedtuple("Enclosure", "lo hi")):
+    """Interval [lo, hi] around a real value, with dyadic Fraction endpoints.
 
     Construction validates the endpoints and their order; what encloses
     what is proved by the caller, by exact evaluation at lo and hi.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (is_dyadic(self.lo) and is_dyadic(self.hi)):
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if not (is_dyadic(lo) and is_dyadic(hi)):
             raise ValueError("enclosure endpoints must be dyadic")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise ValueError(f"inverted enclosure [{lo}, {hi}]")
+        return super().__new__(cls, lo, hi)
 
     @property
     def width(self) -> Fraction:

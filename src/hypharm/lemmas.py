@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .kernel import (
@@ -34,25 +33,27 @@ from .sums import (
 )
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of one lemma instance, with a re-checkable witness."""
+class WitnessReport(namedtuple("WitnessReport", "claim params witness holds")):
+    """Outcome of one lemma instance, with a re-checkable witness (a dict, or None)."""
 
-    claim: str
-    params: dict
-    witness: dict | None
-    holds: bool
+    __slots__ = ()
 
 
-@dataclass
 class SweepResult:
-    """Outcome of an exhaustive run of one checker over a parameter box."""
+    """Outcome of an exhaustive run of one checker over a parameter box.
 
-    claim: str
-    params: dict
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    The sweep fills it in as it runs; a report encodes its `_fields`.
+    """
+
+    _fields = ("claim", "params", "checked", "failures", "notes")
+    __slots__ = _fields
+
+    def __init__(self, claim: str, params: dict) -> None:
+        self.claim = claim
+        self.params = params
+        self.checked = 0
+        self.failures: list = []
+        self.notes: dict = {}
 
     @property
     def holds(self) -> bool:
@@ -352,14 +353,15 @@ def compute_L(r: int, s: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(
+    namedtuple(
+        "EquivalenceReport",
+        "pair integer_form completed_square_form shifted_reciprocal_form",
+    )
+):
     """Truth values of the three equivalent forms of the necessary identity."""
 
-    pair: IntervalPair
-    integer_form: bool
-    completed_square_form: bool
-    shifted_reciprocal_form: bool
+    __slots__ = ()
 
     @property
     def equivalent(self) -> bool:
@@ -397,25 +399,23 @@ def check_eq11_equivalence(pair: IntervalPair) -> EquivalenceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(
+    namedtuple(
+        "DecompositionReport",
+        "pair L terms difference e11 expansion_sums_verified rewrites_verified"
+        " bounds hypothesis_failures",
+    )
+):
     """The seven difference terms of G(a1, r) - G(a2, s) and their checks.
 
     terms[0..5] are exact closed forms; terms[6] is the exact residual, so
     the seven always sum to the difference by construction.
     ``bounds`` is populated by the positivity chain when all of its
     hypotheses hold; otherwise ``hypothesis_failures`` names what failed.
+    ``rewrites_verified`` is None when the necessary identity fails.
     """
 
-    pair: IntervalPair
-    L: Fraction
-    terms: tuple[Fraction, ...]
-    difference: Fraction
-    e11: bool
-    expansion_sums_verified: bool
-    rewrites_verified: bool | None
-    bounds: dict = field(default_factory=dict)
-    hypothesis_failures: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def chain_certified(self) -> bool:
@@ -500,6 +500,8 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
         e11=e11,
         expansion_sums_verified=_verify_expansion_sums(r, s),
         rewrites_verified=_verify_rewrites(pair, terms, gap) if e11 else None,
+        bounds={},
+        hypothesis_failures=(),
     )
 
 
@@ -530,7 +532,7 @@ def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
     report = taylor_decompose(pair)
     failures = _chain_hypothesis_failures(pair)
     if failures:
-        return replace(report, hypothesis_failures=failures)
+        return report._replace(hypothesis_failures=failures)
 
     a1, r = pair.first.a, pair.first.r
     a2, s = pair.second.a, pair.second.r
@@ -552,7 +554,7 @@ def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
         "total_positive": sum(t) > 0,
         "difference_positive": report.difference > 0,
     }
-    return replace(report, bounds=bounds)
+    return report._replace(bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

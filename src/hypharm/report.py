@@ -6,17 +6,17 @@ wall time, and the `stats` of `search` and of the `eta-band` and
 `e11-search` verifies); the results are pure data, so reruns with equal
 parameters produce byte-identical result encodings regardless of timing.
 Rationals are encoded as "num/den" strings, enclosure endpoints as
-"m*2^e" strings, both losslessly, at any size.
+"m*2^e" strings, both losslessly, at any size.  A record (a named tuple
+such as `Interval`, or a `SweepResult`) is encoded as an object keyed by
+its `_fields` and nothing else, so properties such as `holds` stay out.
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import enum
 import io
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .kernel import Enclosure, encode_dyadic, unlimited_digits
@@ -44,11 +44,9 @@ def encode_value(obj, floats: bool = False):
         return obj.value
     if obj is None or isinstance(obj, (int, str)) or (floats and isinstance(obj, float)):
         return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            field.name: encode_value(getattr(obj, field.name), floats)
-            for field in dataclasses.fields(obj)
-        }
+    fields = getattr(type(obj), "_fields", None)
+    if fields is not None:  # a record, before the tuple it may also be
+        return {name: encode_value(getattr(obj, name), floats) for name in fields}
     if isinstance(obj, dict):
         return {str(key): encode_value(value, floats) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -56,17 +54,15 @@ def encode_value(obj, floats: bool = False):
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    parameters: dict
-    version: str
-    seed: int | None
-    started: str
-    finished: str
-    wall_time_s: float
-    outcome: str
-    stats: dict = field(default_factory=dict)
+class RunManifest(
+    namedtuple(
+        "RunManifest",
+        "subcommand parameters version seed started finished wall_time_s outcome stats",
+    )
+):
+    """Run metadata; ``seed`` is an int or None, ``wall_time_s`` a float, ``stats`` a dict."""
+
+    __slots__ = ()
 
 
 @unlimited_digits
@@ -94,6 +90,8 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 
 def render_csv(manifest: RunManifest, results) -> str:
+    import csv  # only this format needs it
+
     rows = [_flatten(encode_value(record)) for record in results]
     columns = sorted({column for row in rows for column in row})
     out = io.StringIO()

@@ -20,46 +20,46 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
 
 from .kernel import miller_rabin, require_memory, status_kb
-from .sums import IntervalPair, window_power_sum
+from .sums import window_power_sum
 
 _MODULUS_LOW = 1 << 61
 _MODULUS_HIGH = 1 << 62
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(namedtuple("SearchConfig", "max_n exponent modulus_count seed")):
     """Search parameters; moduli are derived deterministically from the seed."""
 
-    max_n: int
-    exponent: int = 2
-    modulus_count: int = 3
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_n < 2:
+    def __new__(cls, max_n: int, exponent: int = 2, modulus_count: int = 3, seed: int = 0):
+        if max_n < 2:
             raise ValueError("search bound must be at least 2")
-        if self.exponent < 1:
+        if exponent < 1:
             raise ValueError("exponent must be a positive integer")
-        if self.modulus_count < 1:
+        if modulus_count < 1:
             raise ValueError("need at least one screening modulus")
+        return super().__new__(cls, max_n, exponent, modulus_count, seed)
 
 
-@dataclass
-class CollisionReport:
-    config: SearchConfig
-    moduli: tuple[int, ...]
-    interval_count: int
-    screen_collision_pairs: list[IntervalPair]
-    exact_collision_pairs: list[IntervalPair]
-    # Phase timings (prefix_s: partitioning, choosing the moduli and
-    # building their prefix arrays), partition and screen counters and the
-    # peak RSS (peak_rss_kb, VmHWM): run metadata for the manifest, never
-    # part of the results.
-    stats: dict = field(default_factory=dict)
+class CollisionReport(
+    namedtuple(
+        "CollisionReport",
+        "config moduli interval_count screen_collision_pairs exact_collision_pairs stats",
+    )
+):
+    """What `search` found: the collision pairs are sorted lists of `IntervalPair`.
+
+    ``stats`` holds the phase timings (prefix_s: partitioning, choosing the
+    moduli and building their prefix arrays), partition and screen counters
+    and the peak RSS (peak_rss_kb, VmHWM): run metadata for the manifest,
+    never part of the results.
+    """
+
+    __slots__ = ()
 
 
 def select_moduli(config: SearchConfig) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ A certificate that cannot be established raises `CertificateError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .kernel import Enclosure, Verdict, require_memory, sqrt_enclosure, sqrt_mantissas
@@ -50,18 +50,17 @@ class CertificateError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
-    """Window of consecutive integers {a, ..., a+r}: start a, extent r."""
+class Interval(namedtuple("Interval", "a r")):
+    """Window of consecutive integers {a, ..., a+r}: start a, extent r; ordered by (a, r)."""
 
-    a: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 1:
+    def __new__(cls, a: int, r: int):
+        if a < 1:
             raise ValueError("window start must be >= 1")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("window extent must be >= 0")
+        return super().__new__(cls, a, r)
 
     @property
     def end(self) -> int:
@@ -75,18 +74,15 @@ class Interval:
         return f"[{self.a}..{self.end}]"
 
 
-@dataclass(frozen=True)
-class IntervalPair:
+class IntervalPair(namedtuple("IntervalPair", "first second")):
     """Two windows in canonical orientation (first <= second by start)."""
 
-    first: Interval
-    second: Interval
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.first.a, self.first.r) > (self.second.a, self.second.r):
-            swap = self.first
-            object.__setattr__(self, "first", self.second)
-            object.__setattr__(self, "second", swap)
+    def __new__(cls, first: Interval, second: Interval):
+        if first > second:
+            first, second = second, first
+        return super().__new__(cls, first, second)
 
     @property
     def disjoint(self) -> bool:
@@ -222,19 +218,17 @@ def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ver
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaSolution:
+class EtaSolution(namedtuple("EtaSolution", "interval eta g")):
     """Certified root of the product-form quadratic for one window.
 
-    ``g`` is the exact window sum G(a, r), the quadratic's only input.  The
-    enclosure's dyadic ends are points at which the quadratic was evaluated
-    exactly with opposite signs (or a degenerate point where it vanishes).
-    solve_eta certifies width <= 2^-p and, for r >= 1, epsilon(a) < eta < epsilon(a+r).
+    ``eta`` is an `Enclosure`, ``g`` the exact window sum G(a, r) as a
+    Fraction, the quadratic's only input.  The enclosure's dyadic ends are
+    points at which the quadratic was evaluated exactly with opposite signs
+    (or a degenerate point where it vanishes).  solve_eta certifies width
+    <= 2^-p and, for r >= 1, epsilon(a) < eta < epsilon(a+r).
     """
 
-    interval: Interval
-    eta: Enclosure
-    g: Fraction
+    __slots__ = ()
 
 
 def eta_working_bits(interval: Interval, precision_bits: int) -> int:
@@ -289,26 +283,23 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     return EtaSolution(interval, eta, g)
 
 
-@dataclass(frozen=True)
-class EtaBandReport:
-    """Certified band facts for one window's offset eta.
+class EtaBandReport(
+    namedtuple(
+        "EtaBandReport",
+        "interval eta q_lower q_upper q_lower_holds q_upper_holds"
+        " expr_bound expr_exact expr_lower_holds expr_upper_holds",
+    )
+):
+    """Certified band facts for one window's offset eta (an `EtaSolution`).
 
     ``q_*`` cover 1/(4(a+r)+1) < 1 - 2*eta < 2/(4a+1).  ``expr_*`` cover
     the quadratic-form band |(4a+2r)*t - 1 + t^2| < (2r+1)/(4(a+r)) with
     t = 1 - 2*eta; its upper half is known to fail for small starts, and
-    the verdicts report that faithfully.
+    the verdicts report that faithfully.  The bounds and ``expr_exact``
+    are Fractions, the ``*_holds`` verdicts bools.
     """
 
-    interval: Interval
-    eta: EtaSolution
-    q_lower: Fraction
-    q_upper: Fraction
-    q_lower_holds: bool
-    q_upper_holds: bool
-    expr_bound: Fraction
-    expr_exact: Fraction
-    expr_lower_holds: bool
-    expr_upper_holds: bool
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:

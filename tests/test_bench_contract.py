@@ -8,13 +8,17 @@ benchmark's sources as text, changing nothing there, and resolve each name.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
 from hypharm.cli import build_parser
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _parse(name: str) -> ast.Module:
@@ -128,3 +132,41 @@ def test_every_bench_command_line_parses(monkeypatch):
     assert len(argvs) >= 10, argvs
     for argv in argvs:
         build_parser().parse_args(argv + ["--format", "json"])
+
+
+_TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import hypharm.cli as cli
+import hypharm.lemmas as lemmas
+import hypharm.report as report
+import tracing
+
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["search", "--max-n", "30", "--format", "json"]) == 0
+    verify = ["verify", "--lemma", "eta-band", "--a-max", "2", "--r-max", "1", "--format", "json"]
+    assert cli.main(verify) == 1  # the quadratic band fails at a=1, r=1
+lemmas.sweep_telescope(10)
+print(json.dumps(tracer.layer_metrics()))
+"""
+
+
+def test_traced_mode_reports_every_per_layer_metric(tmp_path):
+    # The benchmark's traced mode, in a fresh interpreter that imports
+    # hypharm as its child does and writes no bytecode under bench/.
+    probe = _TRACED_RUN.format(src=str(ROOT / "src"), bench=str(BENCH))
+    env = os.environ | {"PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    # the child adds the trace's own wall and overhead times
+    assert set(metrics) | {"trace.wall_s", "trace.overhead_s"} == {m["name"] for m in declared}
+    assert metrics["search.windows"] == 30 * 31 // 2
+    assert metrics["sums.eta_band_report.calls"] == 2 * 2
+    assert metrics["lemmas.sweep_telescope.checked"] == 10
+    assert metrics["cli.main.s"] > 0

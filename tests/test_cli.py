@@ -1,9 +1,9 @@
 import ast
 import csv
-import dataclasses
 import hashlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -25,6 +25,7 @@ from hypharm.sums import (
     MAX_PRECISION_BITS,
     CertificateError,
     Interval,
+    IntervalPair,
     epsilon,
     eta_band_report,
     g_exact,
@@ -231,12 +232,47 @@ def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
     assert "stats" not in verify_text
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    # nor compile the search's block screen, which only `search` needs
-    probe = "import sys, hypharm.cli; print('numpy' in sys.modules, 'hypharm.screen' in sys.modules)"
+def _loaded_after(statements: str, names) -> dict:
+    """Which of `names` a fresh interpreter loads while it runs `statements`."""
+    probe = (
+        f"import sys; before = set(sys.modules); {statements}; new = set(sys.modules) - before; "
+        f"print(*(name in new for name in {tuple(names)!r}))"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    return dict(zip(names, (word == "True" for word in proc.stdout.split())))
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # nor compile the search's block screen, which only `search` needs, nor
+    # load dataclasses and the inspect it imports: every record is a named
+    # tuple.  The benchmark's tracer wraps functions of search and report,
+    # which only `import hypharm.cli` loads in its child; lemmas is loaded
+    # by `verify` and `decompose` alone.
+    loaded = _loaded_after(
+        "import hypharm.cli",
+        ("numpy", "hypharm.screen", "dataclasses", "inspect", "hypharm.lemmas"),
+    )
+    assert not any(loaded.values()), loaded
+    loaded = _loaded_after("import hypharm.cli", ("hypharm.search", "hypharm.report"))
+    assert all(loaded.values()), loaded
+    # nor do the modules the benchmark's child imports besides the cli
+    loaded = _loaded_after("import hypharm.cli, hypharm.lemmas, hypharm.report", ("dataclasses",))
+    assert loaded == {"dataclasses": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "--a", "1", "--r", "3"],
+        ["reduce", "--a1", "1", "--r", "5", "--a2", "3", "--s", "6"],
+        ["search", "--max-n", "10"],
+    ],
+    ids=["eta", "reduce", "search"],
+)
+def test_subcommands_without_a_lemma_do_not_load_the_lemmas(argv):
+    run = f"from hypharm.cli import main; assert main({argv + ['--output', os.devnull]!r}) == 0"
+    assert _loaded_after(run, ("hypharm.lemmas",)) == {"hypharm.lemmas": False}
 
 
 def test_unknown_lemma_exits_two():
@@ -331,7 +367,7 @@ def test_verify_that_cannot_certify_exits_one_without_a_report(monkeypatch, caps
     def widened(interval, precision_bits):
         solution = true_solve_eta(interval, precision_bits)
         lo, hi, d = solution.eta.lo, solution.eta.hi, Fraction(1, 2**30)
-        return dataclasses.replace(solution, eta=Enclosure(lo - d, hi + d))
+        return solution._replace(eta=Enclosure(lo - d, hi + d))
 
     monkeypatch.setattr(lemmas_module, "solve_eta", widened)
     assert main(["verify", "--lemma", "bracket-identity", "--pairs", "2"]) == 1
@@ -530,10 +566,25 @@ def test_eta_subcommand(tmp_path):
             ["eta", "--a", "40", "--r", "20"],
             "97f172a0cceca7d594a2f7dd815f046aa90d7d7fd3a2504f96a61806fdb3a004",
         ),
+        (
+            ["decompose", "--a1", "14451", "--r", "0", "--a2", "59575", "--s", "16"],
+            "fab496311a02bf162261f74fc019368d4c40032bbfcbf1506aeea1b1e4a7555c",
+        ),
+        (
+            ["decompose", "--a1", "1", "--r", "2", "--a2", "10", "--s", "3"],
+            "3c167447b134248e05fd12cb18da6350ce48ae06aff83fafa43200451023fa51",
+        ),
+        (
+            ["reduce", "--a1", "1", "--r", "5", "--a2", "3", "--s", "6"],
+            "f090e427d05e2c97ba83904010243f75fba0c3f5c41383b1300580cc1b3b2499",
+        ),
     ],
 )
 def test_eta_results_bytes_are_pinned(tmp_path, argv, digest):
-    # the benchmark's golden digests cover search and verify, not eta
+    # The benchmark's golden digests cover search and verify, not eta,
+    # decompose or reduce.  The first decompose pair is the Pell image of
+    # (3,0,7,16), so all eight chain bounds are certified; the second fails
+    # chain hypotheses.  The reduce pair overlaps without nesting.
     code, text = run_cli(argv, tmp_path)
     assert code == 0
     assert hashlib.sha256(results_bytes(json.loads(text)["results"])).hexdigest() == digest
@@ -574,6 +625,30 @@ def test_verify_e11_search_stats_go_to_the_manifest(tmp_path):
     assert stats["chain_eligible"] == len(result["notes"]["chain_eligible"]) == 0
     assert 0 < stats["sweep_s"] <= document["manifest"]["wall_time_s"]
     assert set(result) == {"claim", "params", "checked", "holds", "failure_count", "failures", "notes"}
+
+
+def test_records_encode_as_their_fields_alone():
+    # the benchmark encodes a bare SweepResult; properties stay out
+    sweep = lemmas_module.sweep_telescope(3)
+    assert json.loads(results_bytes([sweep])) == [
+        {
+            "claim": "telescope",
+            "params": {"n_max": 3, "precision_bits": 64},
+            "checked": 3,
+            "failures": [],
+            "notes": {},
+        }
+    ]
+    pair = IntervalPair(Interval(4, 1), Interval(1, 2))
+    assert encode_value(pair) == {"first": {"a": 1, "r": 2}, "second": {"a": 4, "r": 1}}
+    band = encode_value(eta_band_report(Interval(1, 1)))
+    assert "all_hold" not in band and band["eta"]["interval"] == {"a": 1, "r": 1}
+    assert encode_value(SearchConfig(max_n=5)) == {
+        "max_n": 5,
+        "exponent": 2,
+        "modulus_count": 3,
+        "seed": 0,
+    }
 
 
 def test_results_refuse_floats_while_the_manifest_keeps_its_timings(tmp_path):

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -502,7 +501,7 @@ def test_bracket_identity_catches_a_shifted_eta(monkeypatch):
     def shifted(interval, precision_bits):
         solution = true_solve_eta(interval, precision_bits)
         lo, hi, d = solution.eta.lo, solution.eta.hi, Fraction(1, 2**40)
-        return dataclasses.replace(solution, eta=Enclosure(lo + d, hi + d))
+        return solution._replace(eta=Enclosure(lo + d, hi + d))
 
     pairs = [
         IntervalPair(Interval(1, 0), Interval(2, 0)),
