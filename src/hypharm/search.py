@@ -121,8 +121,8 @@ def search(config: SearchConfig) -> CollisionReport:
         moduli, largest, lambda p: prefix_residues(n, p, config.exponent), exact_sum
     )
     blocks.run(levels)
-    blocks.screen_pairs.sort(key=lambda q: (q.first, q.second))
-    blocks.exact_pairs.sort(key=lambda q: (q.first, q.second))
+    blocks.screen_pairs.sort()  # by (first, second), each window by (a, r)
+    blocks.exact_pairs.sort()
 
     return CollisionReport(
         config=config,
