@@ -77,6 +77,12 @@ def decode_dyadic(text: str) -> Fraction:
     return Fraction(m) * Fraction(2) ** e
 
 
+def checked_make(cls, fields):
+    """A named tuple's `_make` that builds through `cls.__new__`, so that
+    `_make` and `_replace` check what the constructor checks."""
+    return cls(*fields)
+
+
 class Enclosure(namedtuple("Enclosure", "lo hi")):
     """Interval [lo, hi] around a real value, with dyadic Fraction endpoints.
 
@@ -92,6 +98,8 @@ class Enclosure(namedtuple("Enclosure", "lo hi")):
         if lo > hi:
             raise ValueError(f"inverted enclosure [{lo}, {hi}]")
         return super().__new__(cls, lo, hi)
+
+    _make = classmethod(checked_make)
 
     @property
     def width(self) -> Fraction:

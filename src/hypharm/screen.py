@@ -36,11 +36,12 @@ largest gap block with its probes, not by the N(N+1)/2 windows.
 
 Inside a gap block `BlockScreen` writes the residues modulo the first
 prime of the gap windows and the probes into one column and sorts it
-once.  Only if one repeats does it walk the block's windows one by one
-and fingerprint those whose first residue repeats; the other moduli's
-prefix arrays are built only then.  Two probes are compared one level
-down, so the probes are walked only for the repeated residues that a gap
-window holds.  It calls nothing that loads numpy.ma (np.unique does).
+once.  Only if one repeats does it walk the same runs of windows again,
+mark by binary search those whose first residue repeats, and fingerprint
+only those; the other moduli's prefix arrays are built only then.  Two
+probes are compared one level down, so the probes are walked only for the
+repeated residues that a gap window holds.  It calls nothing that loads
+numpy.ma (np.unique does).
 `search` imports this module when it runs, so the other subcommands
 neither load numpy nor compile the screen.
 """
@@ -210,49 +211,47 @@ class BlockScreen:
                 count = top - q1 - length + 1
                 yield q1 + 1, count, length, room[:count] >= length
 
-        probe_runs = ((1, q1 - length, length, None) for length in range(1, longest))
-        keys = self._filled(chain(gap_runs(), probe_runs), level.gap_windows + level.probe_windows)
+        def probe_runs():
+            for length in range(1, longest):
+                yield 1, q1 - length, length, None
+
+        keys = self._filled(chain(gap_runs(), probe_runs()), level.gap_windows + level.probe_windows)
         t0 = time.perf_counter()
         keys.sort()
         # the values that occur more than once in the block (with repeats)
         repeated = keys[1:][keys[1:] == keys[:-1]]
         self.sort_s += time.perf_counter() - t0
         if repeated.size:
-            gaps = (
-                (a, b)
-                for q, bound in zip(level.primes.tolist(), level.bounds.tolist())
-                for a in range(q + 1, bound)
-                for b in range(a, bound)
-            )
-            shorter = (
-                (a, a + length - 1)
-                for length in range(1, longest)
-                for a in range(1, q1 - length + 1)
-            )
-            self._confirm(repeated, gaps, shorter)
+            self._confirm(repeated, gap_runs(), probe_runs())
 
-    def _confirm(self, repeated, own_windows, probe_windows) -> None:
-        """Group the windows (a, b) whose first residue is repeated by full
-        fingerprint, and confirm every group exactly."""
+    def _confirm(self, repeated, own_runs, probe_runs) -> None:
+        """Group the runs' kept windows whose first residue is repeated by
+        full fingerprint, and confirm every group exactly."""
+        np = self.np
         t0 = time.perf_counter()
-        repeats = set(repeated.tolist())
-        self.duplicate_keys += len(repeats)
+        # the distinct repeated values, still sorted
+        repeats = repeated[np.append(True, repeated[1:] != repeated[:-1])]
+        self.duplicate_keys += repeats.size
         if len(self.prefixes) < len(self.moduli):
             self.prefixes += [self._prefix(p) for p in self.moduli[1:]]
-        p, prefix = self.moduli[0], self.prefixes[0]
         by_print: dict[Fingerprint, tuple[list[Interval], list[Interval]]] = {}
-        for side, windows in enumerate((own_windows, probe_windows)):
-            for a, b in windows:
-                if (int(prefix[b]) - int(prefix[a - 1])) % p in repeats:
+        for side, runs in enumerate((own_runs, probe_runs)):
+            for a0, count, length, keep in runs:
+                run = self._residues(a0, count, length)
+                hits = np.searchsorted(repeats, run, "left") != np.searchsorted(repeats, run, "right")
+                if keep is not None:
+                    hits &= keep
+                for a in (np.flatnonzero(hits) + a0).tolist():
+                    b = a + length - 1
                     fingerprint = tuple(
                         (int(column[b]) - int(column[a - 1])) % modulus
                         for modulus, column in zip(self.moduli, self.prefixes)
                     )
-                    by_print.setdefault(fingerprint, ([], []))[side].append(Interval(a, b - a))
+                    by_print.setdefault(fingerprint, ([], []))[side].append(Interval(a, length - 1))
             # two probes are compared one level down, so a probe is walked
             # only for a first residue that one of the gap windows holds
-            repeats = {fingerprint[0] for fingerprint in by_print}
-            if not repeats:
+            repeats = np.array(sorted({fingerprint[0] for fingerprint in by_print}), dtype=np.uint64)
+            if not repeats.size:
                 break
         for own, probes in by_print.values():
             pairs = _pairs(own, probes)

@@ -23,7 +23,7 @@ import time
 from collections import namedtuple
 from itertools import accumulate
 
-from .kernel import miller_rabin, require_memory, status_kb
+from .kernel import checked_make, miller_rabin, require_memory, status_kb
 from .sums import window_power_sum
 
 _MODULUS_LOW = 1 << 61
@@ -43,6 +43,8 @@ class SearchConfig(namedtuple("SearchConfig", "max_n exponent modulus_count seed
         if modulus_count < 1:
             raise ValueError("need at least one screening modulus")
         return super().__new__(cls, max_n, exponent, modulus_count, seed)
+
+    _make = classmethod(checked_make)
 
 
 class CollisionReport(

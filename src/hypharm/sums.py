@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .kernel import Enclosure, Verdict, require_memory, sqrt_enclosure, sqrt_mantissas
+from .kernel import Enclosure, Verdict, checked_make, require_memory, sqrt_enclosure, sqrt_mantissas
 
 DEFAULT_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 1024
@@ -62,6 +62,8 @@ class Interval(namedtuple("Interval", "a r")):
             raise ValueError("window extent must be >= 0")
         return super().__new__(cls, a, r)
 
+    _make = classmethod(checked_make)
+
     @property
     def end(self) -> int:
         return self.a + self.r
@@ -83,6 +85,8 @@ class IntervalPair(namedtuple("IntervalPair", "first second")):
         if first > second:
             first, second = second, first
         return super().__new__(cls, first, second)
+
+    _make = classmethod(checked_make)
 
     @property
     def disjoint(self) -> bool:

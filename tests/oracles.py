@@ -235,6 +235,37 @@ def e11_box_vectorized(a_max: int, w_max: int) -> list[tuple[int, int, int, int]
     return out
 
 
+def forced_first_modulus(bits: int) -> int:
+    """The smallest prime above 3 * 2^(bits - 2), which has `bits` bits.
+
+    A search's first residues repeat by chance once a gap block holds
+    about 2^(bits / 2) windows, so with this prime first and 62-bit ones
+    after it, a search at a modest bound runs the screen's second pass.
+    Primality by strong probable-prime tests to the first twelve prime
+    bases, which decide every number below 3.3 * 10^24.
+    """
+
+    def strong_probable_prime(n: int, base: int) -> bool:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            return True
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return True
+        return False
+
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    candidate = 3 << (bits - 2)
+    while True:
+        candidate += 1
+        if all(strong_probable_prime(candidate, base) for base in bases):
+            return candidate
+
+
 def exact_collision_groups(n_max: int, exponent: int = 2) -> list[list[tuple[int, int]]]:
     """All-exact brute force: group every window by its exact sum.
 

@@ -169,6 +169,22 @@ def test_enclosure_validation():
         Enclosure(Fraction(1, 2), Fraction(1, 4))
 
 
+def test_enclosure_make_and_replace_validate_as_the_constructor():
+    unit = Enclosure(Fraction(0), Fraction(1))
+    builds = (
+        Enclosure,
+        lambda *ends: Enclosure._make(ends),
+        lambda lo, hi: unit._replace(lo=lo, hi=hi),
+    )
+    for ends in ((Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 4))):
+        messages = set()
+        for build in builds:
+            with pytest.raises(ValueError) as error:
+                build(*ends)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+
 # -- primes --
 
 

@@ -34,6 +34,21 @@ def test_config_validation():
         SearchConfig(max_n=10, modulus_count=0)
 
 
+def test_config_make_and_replace_validate_as_the_constructor():
+    builds = (
+        SearchConfig,
+        lambda *fields: SearchConfig._make(fields),
+        lambda *fields: SearchConfig(10)._replace(**dict(zip(SearchConfig._fields, fields))),
+    )
+    for fields in ((1, 2, 3, 0), (10, 0, 3, 0), (10, 2, 0, 0)):
+        messages = set()
+        for build in builds:
+            with pytest.raises(ValueError) as error:
+                build(*fields)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+
 def test_moduli_are_seeded_distinct_primes_above_bound():
     config = SearchConfig(max_n=5000, modulus_count=4, seed=7)
     moduli = select_moduli(config)
@@ -239,28 +254,37 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
     # first residue is held by the probes [10, 10] and [8, 9]: 1/100 and
     # 145/5184 agree, as 14500 - 5184 = 68 * 137.  Two probes are compared
     # one level down, so pass 2 must not walk, let alone fingerprint, a
-    # probe: no column is read at an index below q_1, where every probe ends
+    # probe: while it runs, no column is read, by index or by a slice's
+    # start, below q_1, where every probe ends
     n, moduli = 60, (137, 211)
     level = next(level for level in partition(n) if level.top == 16)
     q1 = int(level.primes[0])
     sums = [window_power_sum(Interval(a, b - a), 2) for a, b in ((10, 10), (8, 9))]
     residues = {value.numerator * pow(value.denominator, -1, moduli[0]) % moduli[0] for value in sums}
     assert q1 == 11 and len(residues) == 1 and sums[0] != sums[1]
-    reads = []
+    reads, confirming = [], []
 
     class Column:
         def __init__(self, array):
             self.array = array
 
         def __getitem__(self, index):
-            if isinstance(index, int):
-                reads.append(index)
+            if confirming:
+                reads.append(index.start if isinstance(index, slice) else index)
             return self.array[index]
 
     blocks = BlockScreen(
         moduli, level.gap_windows + level.probe_windows,
         lambda p: Column(prefix_residues(n, p, 2)), lambda interval: None,
     )
+    true_confirm = blocks._confirm
+
+    def confirm(*args):
+        confirming.append(True)
+        true_confirm(*args)
+        confirming.clear()
+
+    blocks._confirm = confirm
     blocks.gap_block(level)
     assert blocks.duplicate_keys == 1
     assert reads and min(reads) >= q1
@@ -287,26 +311,34 @@ def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
     assert built == [211, 223]
 
 
-@pytest.mark.parametrize("n", [20_000, 40_000])
-def test_block_screen_peak_stays_within_its_charge(n):
-    # with the prefix array built beforehand, what the screen allocates is
+@pytest.mark.parametrize(
+    "n, first_bits, duplicate_keys",
+    [(20_000, None, 0), (40_000, None, 0), (20_000, 30, 222), (40_000, 30, 1677)],
+    ids=["20000", "40000", "20000-first-30-bit", "40000-first-30-bit"],
+)
+def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys):
+    # with the prefix arrays built beforehand, what the screen allocates is
     # the shared buffer, the repeat mask of one block and the scratch of
     # one run: the charge less its prefix arrays must hold it.  At these
     # bounds it holds it with less than a byte per window of the largest
-    # block to spare, so a charge that left out the mask would not
+    # block to spare, so a charge that left out the mask would not.  A
+    # 30-bit first modulus makes first residues repeat, so pass 2 runs,
+    # with its scratch and its groups, inside the same charge
     config = SearchConfig(max_n=n)
     moduli = select_moduli(config)
-    prefix = prefix_residues(n, moduli[0], config.exponent)
+    if first_bits:
+        moduli = (oracles.forced_first_modulus(first_bits), *moduli[1:])
+    prefixes = {p: prefix_residues(n, p, config.exponent) for p in moduli}
     levels = partition(n)
     largest, charge = memory_charge(levels, n, len(moduli))
     tracemalloc.start()
     try:
-        blocks = BlockScreen(moduli, largest, lambda p: prefix, lambda interval: None)
+        blocks = BlockScreen(moduli, largest, prefixes.__getitem__, lambda interval: None)
         blocks.run(levels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert blocks.duplicate_keys == 0
+    assert blocks.duplicate_keys == duplicate_keys
     assert 9 * largest < peak <= charge - 8 * len(moduli) * (n + 1)
 
 

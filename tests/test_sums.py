@@ -34,6 +34,21 @@ def test_interval_validation():
     assert Interval(3, 4).end == 7 and Interval(3, 4).length == 5
 
 
+def test_interval_make_and_replace_validate_as_the_constructor():
+    builds = (
+        Interval,
+        lambda *fields: Interval._make(fields),
+        lambda a, r: Interval(1, 0)._replace(a=a, r=r),
+    )
+    for fields in ((0, 1), (1, -1), (0, -1)):
+        messages = set()
+        for build in builds:
+            with pytest.raises(ValueError) as error:
+                build(*fields)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+
+
 def test_pair_canonical_orientation_and_disjoint_flag():
     pair = IntervalPair(Interval(5, 1), Interval(2, 0))
     assert pair.first == Interval(2, 0) and pair.second == Interval(5, 1)
@@ -41,6 +56,13 @@ def test_pair_canonical_orientation_and_disjoint_flag():
     assert IntervalPair(Interval(2, 3), Interval(4, 1)).overlapping
     assert IntervalPair(Interval(2, 3), Interval(6, 1)).disjoint
     assert IntervalPair(Interval(1, 0), Interval(1, 0)).first == Interval(1, 0)
+
+
+def test_pair_make_and_replace_keep_the_canonical_orientation():
+    pair = IntervalPair(Interval(2, 0), Interval(5, 1))
+    assert IntervalPair._make((Interval(5, 1), Interval(2, 0))) == pair
+    assert pair._replace(first=Interval(7, 0)) == (Interval(5, 1), Interval(7, 0))
+    assert pair._replace(second=Interval(1, 3)) == (Interval(1, 3), Interval(2, 0))
 
 
 # -- exact sums --
