@@ -35,13 +35,14 @@ block shows up as the disjoint pair it reduces to.  Memory is set by the
 largest gap block with its probes, not by the N(N+1)/2 windows.
 
 Inside a gap block `BlockScreen` writes the residues modulo the first
-prime of the gap windows and the probes into one column and sorts it
-once.  Only if one repeats does it walk the same runs of windows again,
-mark by binary search those whose first residue repeats, and fingerprint
-only those; the other moduli's prefix arrays are built only then.  Two
-probes are compared one level down, so the probes are walked only for the
-repeated residues that a gap window holds.  It calls nothing that loads
-numpy.ma (np.unique does).
+prime of the gap windows and the probes into one column, read off the
+first modulus' prefix array, and sorts it once.  Only if one repeats does
+it walk the same runs of windows again, mark by binary search those whose
+first residue repeats, and sum only those exactly; each sum's residues
+modulo every prime are its fingerprint, as no prime above N divides its
+denominator.  Two probes are compared one level down, so the probes are
+walked only for the repeated residues that a gap window holds.  It calls
+nothing that loads numpy.ma (np.unique does).
 `search` imports this module when it runs, so the other subcommands
 neither load numpy nor compile the screen.
 """
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import os
 import time
+from fractions import Fraction
 from itertools import chain, combinations
 
 from .kernel import PrimeSieve
@@ -62,6 +64,10 @@ Fingerprint = tuple[int, ...]
 # Memory charged per integer up to N besides the 8-byte prefix entries:
 # the scratch of one run of windows, at most 30 bytes an integer.
 _SCRATCH_BYTES = 32
+# Memory charged per modulus: a 62-bit int (36 bytes) and its list and
+# tuple slots while `select_moduli` draws them, 52.8 to 55.7 bytes a
+# modulus at the peak under tracemalloc.
+_MODULUS_BYTES = 56
 
 
 def load_numpy():
@@ -120,9 +126,10 @@ def memory_charge(levels: list[Level], n: int, modulus_count: int) -> tuple[int,
     """(windows of the largest gap block with its probes, bytes the screen
     needs) for the bound n: per window of that block, 8 bytes of the one
     sorted column of gap windows and probes and 1 byte of its repeat mask;
-    per integer up to n, the prefix arrays and scratch."""
+    per integer up to n, the first modulus' prefix array and scratch; and
+    the moduli themselves."""
     largest = max(level.gap_windows + level.probe_windows for level in levels)
-    return largest, 9 * largest + (8 * modulus_count + _SCRATCH_BYTES) * (n + 1)
+    return largest, 9 * largest + (8 + _SCRATCH_BYTES) * (n + 1) + _MODULUS_BYTES * modulus_count
 
 
 def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
@@ -140,15 +147,15 @@ def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
 class BlockScreen:
     """Both passes over the gap blocks, and what they found.
 
-    `prefix_array(p)` gives the uint64 prefix residues modulo p, and
-    `exact_sum(interval)` a window's exact sum; the caller supplies both.
+    `prefix` holds the uint64 prefix residues modulo the first of the
+    moduli, and `exact_sum(interval)` gives a window's exact sum as a
+    Fraction; the caller supplies both.
     """
 
-    def __init__(self, moduli: tuple[int, ...], largest_block: int, prefix_array, exact_sum):
+    def __init__(self, moduli: tuple[int, ...], largest_block: int, prefix, exact_sum):
         self.np = load_numpy()
-        self.moduli, self.prefix_array, self.exact_sum = moduli, prefix_array, exact_sum
-        self.prefix_s = self.fill_s = self.sort_s = self.confirm_s = 0.0
-        self.prefixes = [self._prefix(moduli[0])]
+        self.moduli, self.prefix, self.exact_sum = moduli, prefix, exact_sum
+        self.fill_s = self.sort_s = self.confirm_s = 0.0
         # every gap block's first residues are written here, one block at a time
         self.buffer = self.np.empty(largest_block, dtype=self.np.uint64)
         self.duplicate_keys = 0
@@ -159,12 +166,6 @@ class BlockScreen:
     def run(self, levels: list[Level]) -> None:
         for level in levels:
             self.gap_block(level)
-
-    def _prefix(self, p: int):
-        t0 = time.perf_counter()
-        array = self.prefix_array(p)
-        self.prefix_s += time.perf_counter() - t0
-        return array
 
     def _reduce(self, diff):
         """diff mod the first prime, in place.
@@ -179,9 +180,8 @@ class BlockScreen:
 
     def _residues(self, a0: int, count: int, length: int):
         """Window sums mod the first prime along a run (keep not applied)."""
-        prefix = self.prefixes[0]
         b0 = a0 + length - 1
-        return self._reduce(prefix[b0 : b0 + count] - prefix[a0 - 1 : a0 - 1 + count])
+        return self._reduce(self.prefix[b0 : b0 + count] - self.prefix[a0 - 1 : a0 - 1 + count])
 
     def _filled(self, runs, size: int):
         """The first residues of the runs' kept windows, in buffer[:size]."""
@@ -232,9 +232,8 @@ class BlockScreen:
         # the distinct repeated values, still sorted
         repeats = repeated[np.append(True, repeated[1:] != repeated[:-1])]
         self.duplicate_keys += repeats.size
-        if len(self.prefixes) < len(self.moduli):
-            self.prefixes += [self._prefix(p) for p in self.moduli[1:]]
-        by_print: dict[Fingerprint, tuple[list[Interval], list[Interval]]] = {}
+        # fingerprint -> exact sum -> (gap windows, probes) with that sum
+        by_print: dict[Fingerprint, dict[Fraction, tuple[list[Interval], list[Interval]]]] = {}
         for side, runs in enumerate((own_runs, probe_runs)):
             for a0, count, length, keep in runs:
                 run = self._residues(a0, count, length)
@@ -242,26 +241,24 @@ class BlockScreen:
                 if keep is not None:
                     hits &= keep
                 for a in (np.flatnonzero(hits) + a0).tolist():
-                    b = a + length - 1
+                    interval = Interval(a, length - 1)
+                    value = self.exact_sum(interval)
                     fingerprint = tuple(
-                        (int(column[b]) - int(column[a - 1])) % modulus
-                        for modulus, column in zip(self.moduli, self.prefixes)
+                        value.numerator * pow(value.denominator, -1, p) % p for p in self.moduli
                     )
-                    by_print.setdefault(fingerprint, ([], []))[side].append(Interval(a, length - 1))
+                    by_value = by_print.setdefault(fingerprint, {})
+                    by_value.setdefault(value, ([], []))[side].append(interval)
             # two probes are compared one level down, so a probe is walked
             # only for a first residue that one of the gap windows holds
             repeats = np.array(sorted({fingerprint[0] for fingerprint in by_print}), dtype=np.uint64)
             if not repeats.size:
                 break
-        for own, probes in by_print.values():
+        for by_value in by_print.values():
+            own, probes = ([w for group in by_value.values() for w in group[side]] for side in (0, 1))
             pairs = _pairs(own, probes)
             if pairs:
                 self.screen_pairs += pairs
                 self.group_sizes.append(len(own) + len(probes))
-                by_value: dict = {}
-                for side, members in enumerate((own, probes)):
-                    for interval in members:
-                        by_value.setdefault(self.exact_sum(interval), ([], []))[side].append(interval)
                 for group in by_value.values():
                     self.exact_pairs += _pairs(*group)
         self.confirm_s += time.perf_counter() - t0

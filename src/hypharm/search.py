@@ -1,11 +1,12 @@
 """Exhaustive screened search for equal window sums up to a bound.
 
-Every window {a, ..., a+r} with 1 <= a <= a+r <= N is fingerprinted by
-its sum's residues modulo several large primes, computed from prefix
-arrays in O(1) per window.  Equal exact sums force equal fingerprints,
-so grouping by fingerprint and exactly confirming every nontrivial group
-can never miss a collision; the big primes merely keep false groups
-negligible.
+Every window {a, ..., a+r} with 1 <= a <= a+r <= N is screened by its
+sum's residue modulo a large prime, read off one prefix array in O(1) per
+window.  Only the windows whose residue repeats are summed exactly, and
+fingerprinted by the sum's residues modulo several large primes.  Equal
+exact sums force equal fingerprints, so grouping by fingerprint and
+exactly confirming every nontrivial group can never miss a collision; the
+big primes merely keep false groups negligible.
 
 The windows are screened block by block, never all at once (`screen`):
 a prime q in (M/2, M] separates the windows inside [1, M] that hold it
@@ -56,9 +57,9 @@ class CollisionReport(
     """What `search` found: the collision pairs are sorted lists of `IntervalPair`.
 
     ``stats`` holds the phase timings (prefix_s: partitioning, choosing the
-    moduli and building their prefix arrays), partition and screen counters
-    and the peak RSS (peak_rss_kb, VmHWM): run metadata for the manifest,
-    never part of the results.
+    moduli and building the first one's prefix array), partition and
+    screen counters and the peak RSS (peak_rss_kb, VmHWM): run metadata
+    for the manifest, never part of the results.
     """
 
     __slots__ = ()
@@ -99,11 +100,11 @@ def search(config: SearchConfig) -> CollisionReport:
     An empty `exact_collision_pairs` certifies all N(N+1)/2 windows,
     although only the gap blocks of `screen.partition` are compared: the
     `screen` module docstring says why, and how its two passes run.  The
-    memory guard asks for `screen.memory_charge`, which counts every
-    prefix array, before any modulus is chosen.  A gap window belongs to
-    one block, and a probe is paired only with gap windows, so no pair is
-    screened twice; pairs are reported in sorted window order, so output
-    is deterministic.
+    memory guard asks for `screen.memory_charge`, which counts the first
+    modulus' prefix array and the moduli, before any modulus is chosen.
+    A gap window belongs to one block, and a probe is paired only with
+    gap windows, so no pair is screened twice; pairs are reported in
+    sorted window order, so output is deterministic.
     """
     from . import screen  # compiled only when a search runs
 
@@ -112,16 +113,15 @@ def search(config: SearchConfig) -> CollisionReport:
     n, m = config.max_n, config.modulus_count
     levels = screen.partition(n)
     largest, nbytes = screen.memory_charge(levels, n, m)
-    require_memory(nbytes, f"the largest screen block of {largest} windows and {m} prefix arrays")
+    require_memory(nbytes, f"the largest screen block of {largest} windows and {m} moduli")
     moduli = select_moduli(config)
+    prefix = prefix_residues(n, moduli[0], config.exponent)
     t_setup = time.perf_counter()
 
     def exact_sum(interval):
         return window_power_sum(interval, config.exponent)
 
-    blocks = screen.BlockScreen(
-        moduli, largest, lambda p: prefix_residues(n, p, config.exponent), exact_sum
-    )
+    blocks = screen.BlockScreen(moduli, largest, prefix, exact_sum)
     blocks.run(levels)
     blocks.screen_pairs.sort()  # by (first, second), each window by (a, r)
     blocks.exact_pairs.sort()
@@ -133,7 +133,7 @@ def search(config: SearchConfig) -> CollisionReport:
         screen_collision_pairs=blocks.screen_pairs,
         exact_collision_pairs=blocks.exact_pairs,
         stats={
-            "prefix_s": round(t_setup - t0 + blocks.prefix_s, 6),
+            "prefix_s": round(t_setup - t0, 6),
             "fill_s": round(blocks.fill_s, 6),
             "sort_s": round(blocks.sort_s, 6),
             "confirm_s": round(blocks.confirm_s, 6),

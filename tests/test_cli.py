@@ -62,9 +62,9 @@ def test_search_usage_error_exit_two(tmp_path, capsys):
 
 
 def test_search_beyond_physical_memory_exits_two_before_any_work(monkeypatch, capsys):
-    # N = 10^7 is charged 7.89 GB (a largest block of 815 million windows
-    # at 9 B each, three prefix arrays), more than a 4 GiB machine has;
-    # the guard must fire before the moduli, the prefix arrays or the
+    # N = 10^7 is charged 7.74 GB (a largest block of 815 million windows
+    # at 9 B each, one prefix array), more than a 4 GiB machine has;
+    # the guard must fire before the moduli, the prefix array or the
     # screen's buffer exist
     def unreachable(*args):
         raise AssertionError("search started work past the memory guard")
@@ -166,13 +166,15 @@ def test_window_too_long_to_sum_exits_two_before_summing(argv):
 
 
 def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys):
-    # 10^8 prefix arrays of 1001 entries need 800 GB; no modulus may be drawn
+    # 10^8 moduli are charged 56 B each, 5.6 GB, more than a 4 GiB machine
+    # has; no modulus may be drawn
     def unreachable(*args):
         raise AssertionError("search chose moduli past the memory guard")
 
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 4 << 30)
     monkeypatch.setattr(search_module, "select_moduli", unreachable)
     assert main(["search", "--max-n", "1000", "--moduli", "100000000"]) == 2
-    assert "100000000 prefix arrays" in capsys.readouterr().err
+    assert "100000000 moduli" in capsys.readouterr().err
 
 
 def _largest_screen_block(n):
@@ -182,12 +184,13 @@ def _largest_screen_block(n):
 
 def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
     # 9 B per window of the largest block (the shared buffer and the repeat
-    # mask), plus 8 B per integer up to N for each of the 3 prefix arrays
-    # and 32 B for the scratch of one run of windows: one byte less is
-    # refused, and the search runs at exactly that much
+    # mask), plus 8 B per integer up to N for the first modulus' prefix
+    # array and 32 B for the scratch of one run of windows, plus 56 B for
+    # each of the 3 moduli: one byte less is refused, and the search runs
+    # at exactly that much
     assert _largest_screen_block(1000) == 10884
-    charge = 9 * _largest_screen_block(1000) + (8 * 3 + 32) * 1001
-    assert charge == 154_012
+    charge = 9 * _largest_screen_block(1000) + (8 + 32) * 1001 + 56 * 3
+    assert charge == 138_164
     monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
     assert f"needs {charge} bytes" in capsys.readouterr().err

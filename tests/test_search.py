@@ -80,15 +80,18 @@ def test_prefix_differences_are_window_sums_mod_p():
                 assert (int(prefix[end]) - int(prefix[a - 1])) % p == expected
 
 
-def test_fingerprint_homomorphism_spot_check():
-    config = SearchConfig(max_n=500, modulus_count=3, seed=0)
+@pytest.mark.parametrize("exponent", [1, 2, 3])
+def test_fingerprint_homomorphism_spot_check(exponent):
+    # pass 2 fingerprints a window from its exact sum, so the sum's
+    # residues must be what the prefix arrays give, at every exponent
+    config = SearchConfig(max_n=500, exponent=exponent, modulus_count=3, seed=0)
     moduli = select_moduli(config)
-    prefixes = [prefix_residues(500, p, 2) for p in moduli]
+    prefixes = [prefix_residues(500, p, exponent) for p in moduli]
     rng = random.Random(42)
     for _ in range(1000):
         a = rng.randint(1, 500)
         end = rng.randint(a, 500)
-        value = g_exact(Interval(a, end - a))
+        value = window_power_sum(Interval(a, end - a), exponent)
         fp = tuple(
             (int(prefix[end]) - int(prefix[a - 1])) % p for p, prefix in zip(moduli, prefixes)
         )
@@ -230,10 +233,12 @@ def test_partition_covers_every_window_once(n):
     # the 1 is [1, 1], which no level takes
     assert ends + gaps + 1 == n * (n + 1) // 2
     # 9 B per window of the largest block (its residue and its byte of the
-    # repeat mask), and per integer 8 B of prefix array and 32 B of scratch
+    # repeat mask), per integer 8 B of prefix array and 32 B of scratch,
+    # and 56 B per modulus, whatever the count of moduli
     largest, charge = memory_charge(levels, n, 1)
     assert largest == max(level.gap_windows + level.probe_windows for level in levels)
-    assert charge == 9 * largest + (8 + 32) * (n + 1)
+    assert charge == 9 * largest + (8 + 32) * (n + 1) + 56
+    assert memory_charge(levels, n, 3) == (largest, charge + 2 * 56)
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
@@ -255,14 +260,15 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
     # 145/5184 agree, as 14500 - 5184 = 68 * 137.  Two probes are compared
     # one level down, so pass 2 must not walk, let alone fingerprint, a
     # probe: while it runs, no column is read, by index or by a slice's
-    # start, below q_1, where every probe ends
+    # start, below q_1, where every probe ends, and no window there is
+    # summed
     n, moduli = 60, (137, 211)
     level = next(level for level in partition(n) if level.top == 16)
     q1 = int(level.primes[0])
     sums = [window_power_sum(Interval(a, b - a), 2) for a, b in ((10, 10), (8, 9))]
     residues = {value.numerator * pow(value.denominator, -1, moduli[0]) % moduli[0] for value in sums}
     assert q1 == 11 and len(residues) == 1 and sums[0] != sums[1]
-    reads, confirming = [], []
+    reads, confirming, summed = [], [], []
 
     class Column:
         def __init__(self, array):
@@ -273,9 +279,13 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
                 reads.append(index.start if isinstance(index, slice) else index)
             return self.array[index]
 
+    def exact_sum(interval):
+        summed.append(interval)
+        return window_power_sum(interval, 2)
+
     blocks = BlockScreen(
         moduli, level.gap_windows + level.probe_windows,
-        lambda p: Column(prefix_residues(n, p, 2)), lambda interval: None,
+        Column(prefix_residues(n, moduli[0], 2)), exact_sum,
     )
     true_confirm = blocks._confirm
 
@@ -288,10 +298,13 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
     blocks.gap_block(level)
     assert blocks.duplicate_keys == 1
     assert reads and min(reads) >= q1
+    assert all(interval.a >= q1 for interval in summed)
     assert blocks.screen_pairs == blocks.exact_pairs == []
 
 
 def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
+    # pass 2 fingerprints from exact sums, so only the first modulus ever
+    # gets a prefix array, whether or not a first residue repeats
     built = []
     true_prefix_residues = search_module.prefix_residues
 
@@ -308,7 +321,28 @@ def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
     monkeypatch.setattr(search_module, "select_moduli", lambda config: (211, 223))
     report = search(SearchConfig(max_n=60, modulus_count=2))
     assert report.stats["duplicate_keys"] > 0
-    assert built == [211, 223]
+    assert built == [211]
+
+
+def test_phase_timings_do_not_exceed_the_search(monkeypatch):
+    # each prefix array is built once and counted in one phase: with every
+    # build slowed down, and pass 2 running, the four phases still add up
+    # to no more than the search took
+    true_prefix_residues = search_module.prefix_residues
+
+    def slow(n_max, p, exponent):
+        time.sleep(0.05)
+        return true_prefix_residues(n_max, p, exponent)
+
+    monkeypatch.setattr(search_module, "prefix_residues", slow)
+    monkeypatch.setattr(search_module, "select_moduli", lambda config: (211, 223))
+    t0 = time.perf_counter()
+    report = search(SearchConfig(max_n=60, modulus_count=2))
+    elapsed = time.perf_counter() - t0
+    assert report.stats["duplicate_keys"] > 0
+    phases = sum(report.stats[key] for key in ("prefix_s", "fill_s", "sort_s", "confirm_s"))
+    assert report.stats["prefix_s"] >= 0.05
+    assert phases <= elapsed
 
 
 @pytest.mark.parametrize(
@@ -317,29 +351,34 @@ def test_confirming_prefix_arrays_are_built_only_after_a_repeat(monkeypatch):
     ids=["20000", "40000", "20000-first-30-bit", "40000-first-30-bit"],
 )
 def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys):
-    # with the prefix arrays built beforehand, what the screen allocates is
-    # the shared buffer, the repeat mask of one block and the scratch of
-    # one run: the charge less its prefix arrays must hold it.  At these
-    # bounds it holds it with less than a byte per window of the largest
-    # block to spare, so a charge that left out the mask would not.  A
-    # 30-bit first modulus makes first residues repeat, so pass 2 runs,
-    # with its scratch and its groups, inside the same charge
+    # with the moduli and the prefix array built beforehand, what the
+    # screen allocates is the shared buffer, the repeat mask of one block
+    # and the scratch of one run: the charge less the prefix array and the
+    # moduli must hold it.  At these bounds it holds it with less than a
+    # byte per window of the largest block to spare, so a charge that left
+    # out the mask would not.  A 30-bit first modulus makes first residues
+    # repeat, so pass 2 runs, with its scratch, its exact sums and its
+    # groups, inside the same charge
     config = SearchConfig(max_n=n)
     moduli = select_moduli(config)
     if first_bits:
         moduli = (oracles.forced_first_modulus(first_bits), *moduli[1:])
-    prefixes = {p: prefix_residues(n, p, config.exponent) for p in moduli}
+    prefix = prefix_residues(n, moduli[0], config.exponent)
     levels = partition(n)
     largest, charge = memory_charge(levels, n, len(moduli))
+
+    def exact_sum(interval):
+        return window_power_sum(interval, config.exponent)
+
     tracemalloc.start()
     try:
-        blocks = BlockScreen(moduli, largest, prefixes.__getitem__, lambda interval: None)
+        blocks = BlockScreen(moduli, largest, prefix, exact_sum)
         blocks.run(levels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert blocks.duplicate_keys == duplicate_keys
-    assert 9 * largest < peak <= charge - 8 * len(moduli) * (n + 1)
+    assert 9 * largest < peak <= charge - 8 * (n + 1) - 56 * len(moduli)
 
 
 def test_prefix_s_leaves_out_numpys_import(monkeypatch):
