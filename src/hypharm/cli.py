@@ -17,8 +17,11 @@ raises ValueError for a usage error.  `main` alone turns that, or a
 `CertificateError`, into the report or the stderr message and the exit
 code; any other exception is a bug and propagates as a traceback.  All
 randomness is seeded, so reruns with equal parameters emit byte-identical
-result payloads; `search` and the `eta-band` and `e11-search` verifies add
-their timings and counters to the manifest, not to the results.
+result payloads.  Timings and counters go to the manifest, not to the
+results: `search` takes its `CollisionReport.stats`, and `verify` merges
+the `stats` of its sweeps (the `eta-band` and `e11-search` sweeps fill
+them; the other lemmas record none).  Handlers encode a library record's
+fields as they are, and re-derive none of its facts.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .sums import (
     IntervalPair,
     epsilon,
     eta_band_report,
-    eta_working_bits,
     g_exact,
     reduce_overlap,
 )
@@ -122,15 +124,7 @@ def cmd_search(args) -> Run:
     )
     report = search(config)
     collided = bool(report.exact_collision_pairs)
-    results = [
-        {
-            "config": report.config,
-            "moduli": list(report.moduli),
-            "interval_count": report.interval_count,
-            "screen_collision_pairs": report.screen_collision_pairs,
-            "exact_collision_pairs": report.exact_collision_pairs,
-        }
-    ]
+    results = [{name: getattr(report, name) for name in report._fields if name != "stats"}]
     return Run(
         {"max_n": args.max_n, "exponent": args.exponent, "moduli": args.moduli, "seed": args.seed},
         results,
@@ -206,17 +200,8 @@ def _run_verify(args) -> tuple[list, dict]:
 
 
 def cmd_verify(args) -> Run:
-    t0 = time.perf_counter()
     sweeps, params = _run_verify(args)
-    sweep_s, stats = round(time.perf_counter() - t0, 6), {}
-    if args.lemma == "eta-band":  # the box's far corner needs the most square-root bits
-        bits = eta_working_bits(Interval(params["a_max"], params["r_max"]), args.precision_bits)
-        stats = {"windows": sweeps[0].checked, "working_bits": bits, "sweep_s": sweep_s}
-    if args.lemma == "e11-search":  # every window of the box is one trivial solution
-        notes, windows = sweeps[0].notes, params["a_max"] * (params["w_max"] + 1)
-        stats = {"windows": windows, "nontrivial_solutions": sweeps[0].checked - windows}
-        stats |= {key: len(notes[key]) for key in ("disjoint", "chain_eligible")}
-        stats["sweep_s"] = sweep_s
+    stats = {key: value for sweep in sweeps for key, value in sweep.stats.items()}
     all_hold = all(sweep.holds for sweep in sweeps)
     results = [
         {
@@ -242,6 +227,7 @@ def cmd_verify(args) -> Run:
 def cmd_eta(args) -> Run:
     interval = Interval(args.a, args.r)
     band = eta_band_report(interval, args.precision_bits)
+    facts = {name: getattr(band, name) for name in band._fields if name not in ("interval", "eta")}
     # solve_eta certifies width <= 2^-p and, for r >= 1, eta inside the epsilon bracket
     results = [
         {
@@ -251,16 +237,7 @@ def cmd_eta(args) -> Run:
             "epsilon_low": epsilon(args.a, args.precision_bits),
             "epsilon_high": epsilon(args.a + args.r, args.precision_bits),
             "strict_inside": args.r >= 1,
-            "band": {
-                "q_lower": band.q_lower,
-                "q_upper": band.q_upper,
-                "q_lower_holds": band.q_lower_holds,
-                "q_upper_holds": band.q_upper_holds,
-                "expr_bound": band.expr_bound,
-                "expr_exact": band.expr_exact,
-                "expr_lower_holds": band.expr_lower_holds,
-                "expr_upper_holds": band.expr_upper_holds,
-            },
+            "band": facts,
         }
     ]
     parameters = {"a": args.a, "r": args.r, "precision_bits": args.precision_bits}

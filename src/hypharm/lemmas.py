@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from .sums import (
     Interval,
     IntervalPair,
     eta_band_report,
+    eta_working_bits,
     g_exact,
     solve_eta,
     telescope_check,
@@ -43,10 +45,12 @@ class SweepResult:
     """Outcome of an exhaustive run of one checker over a parameter box.
 
     The sweep fills it in as it runs; a report encodes its `_fields`.
+    `stats` holds run metadata (counters and timings for the manifest),
+    is not one of them, and so never reaches the results.
     """
 
     _fields = ("claim", "params", "checked", "failures", "notes")
-    __slots__ = _fields
+    __slots__ = _fields + ("stats",)
 
     def __init__(self, claim: str, params: dict) -> None:
         self.claim = claim
@@ -54,6 +58,7 @@ class SweepResult:
         self.checked = 0
         self.failures: list = []
         self.notes: dict = {}
+        self.stats: dict = {}
 
     @property
     def holds(self) -> bool:
@@ -236,12 +241,12 @@ def sweep_lcm_bound(a_max: int, b_max: int, n_max: int) -> SweepResult:
 # power-sum closed forms
 # ---------------------------------------------------------------------------
 
-# Numerator polynomials in m = r+1 shared by both parities; the even case
-# divides by the second constant, the odd case by the first.
+# Numerator polynomials in m = r+1 shared by both parities; the odd case
+# divides by the constant, the even case by the constant times 2^exponent.
 _POWER_SUM_FORMS = {
-    2: (lambda m: m**3 - m, 6, 24),
-    4: (lambda m: 3 * m**5 - 10 * m**3 + 7 * m, 30, 480),
-    6: (lambda m: 3 * m**7 - 21 * m**5 + 49 * m**3 - 31 * m, 42, 2688),
+    2: (lambda m: m**3 - m, 6),
+    4: (lambda m: 3 * m**5 - 10 * m**3 + 7 * m, 30),
+    6: (lambda m: 3 * m**7 - 21 * m**5 + 49 * m**3 - 31 * m, 42),
 }
 
 
@@ -255,8 +260,8 @@ def power_sum_closed_form(r: int, exponent: int) -> Fraction:
         raise ValueError("extent must be positive")
     if exponent not in _POWER_SUM_FORMS:
         raise ValueError(f"unsupported exponent {exponent}; expected one of 2, 4, 6")
-    numerator, odd_div, even_div = _POWER_SUM_FORMS[exponent]
-    return Fraction(numerator(r + 1), even_div if r % 2 == 0 else odd_div)
+    numerator, div = _POWER_SUM_FORMS[exponent]
+    return Fraction(numerator(r + 1), div << exponent if r % 2 == 0 else div)
 
 
 def centered_power_sum_closed(r: int, exponent: int) -> Fraction:
@@ -265,8 +270,8 @@ def centered_power_sum_closed(r: int, exponent: int) -> Fraction:
         raise ValueError("extent must be nonnegative")
     if exponent not in _POWER_SUM_FORMS:
         raise ValueError(f"unsupported exponent {exponent}; expected one of 2, 4, 6")
-    numerator, _, even_div = _POWER_SUM_FORMS[exponent]
-    return Fraction(numerator(r + 1), even_div // 2)
+    numerator, div = _POWER_SUM_FORMS[exponent]
+    return Fraction(numerator(r + 1), div << (exponent - 1))
 
 
 def centered_power_sum_direct(r: int, exponent: int) -> Fraction:
@@ -660,7 +665,9 @@ def sweep_eta_grid(
     verdicts), in that order.  Each window is solved once.  solve_eta
     certifies the enclosure itself (width <= 2^-p and, for r >= 1, strictly
     inside the epsilon bracket) or raises CertificateError, so the
-    enclosure sweep counts the windows and records no failure.
+    enclosure sweep counts the windows and records no failure.  Its
+    `stats` hold the windows, the largest working bits handed to a square
+    root (`working_bits`) and the grid's time (`sweep_s`).
 
     The quadratic-form upper side is false as stated: it first fails at
     a=1, r=1 (value 2/5, bound 3/8).  On a <= 100, 0 <= r <= 50 it fails
@@ -669,12 +676,16 @@ def sweep_eta_grid(
     2(r+1)/3, except f(0) = 0 and f(3) = 2.  The lower side and the
     bracket band hold on that whole grid.
     """
+    t0 = time.perf_counter()
     params = {"a_max": a_max, "r_max": r_max, "precision_bits": precision_bits}
     enclosures = SweepResult("eta-enclosure", dict(params))
     band = SweepResult("eta-band", dict(params))
+    bits = 0
     for a in range(1, a_max + 1):
         for r in range(0, r_max + 1):
-            report = eta_band_report(Interval(a, r), precision_bits)
+            interval = Interval(a, r)
+            report = eta_band_report(interval, precision_bits)
+            bits = max(bits, eta_working_bits(interval, precision_bits))
             enclosures.checked += 1
             band.checked += 1
             if not report.all_hold:
@@ -690,6 +701,8 @@ def sweep_eta_grid(
                         "expr_bound": report.expr_bound,
                     }
                 )
+    sweep_s = round(time.perf_counter() - t0, 6)
+    enclosures.stats = {"windows": enclosures.checked, "working_bits": bits, "sweep_s": sweep_s}
     return enclosures, band
 
 
@@ -752,8 +765,11 @@ def sweep_e11_box(a_max: int, w_max: int) -> SweepResult:
     (each window with itself) included.  For disjoint nontrivial
     solutions the exact sums must differ; when the chain hypotheses also
     hold the difference must be certified positive through every
-    intermediate bound.
+    intermediate bound.  `stats` count the box's windows, the nontrivial
+    solutions, the disjoint and the chain-eligible ones, and time the
+    sweep (`sweep_s`).
     """
+    t0 = time.perf_counter()
     result = SweepResult("e11-search", {"a_max": a_max, "w_max": w_max})
     solutions = search_necessary_identity(a_max, w_max)
     result.notes["solutions"] = solutions
@@ -782,4 +798,8 @@ def sweep_e11_box(a_max: int, w_max: int) -> SweepResult:
                 )
     result.notes["disjoint"] = disjoint
     result.notes["chain_eligible"] = eligible
+    windows = a_max * (w_max + 1)  # each window with itself is one trivial solution
+    result.stats = {"windows": windows, "nontrivial_solutions": result.checked - windows}
+    result.stats |= {"disjoint": len(disjoint), "chain_eligible": len(eligible)}
+    result.stats["sweep_s"] = round(time.perf_counter() - t0, 6)
     return result

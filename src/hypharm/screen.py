@@ -64,10 +64,6 @@ Fingerprint = tuple[int, ...]
 # Memory charged per integer up to N besides the 8-byte prefix entries:
 # the scratch of one run of windows, at most 30 bytes an integer.
 _SCRATCH_BYTES = 32
-# Memory charged per modulus: a 62-bit int (36 bytes) and its list and
-# tuple slots while `select_moduli` draws them, 52.8 to 55.7 bytes a
-# modulus at the peak under tracemalloc.
-_MODULUS_BYTES = 56
 
 
 def load_numpy():
@@ -122,14 +118,13 @@ def partition(n: int) -> list[Level]:
     return levels
 
 
-def memory_charge(levels: list[Level], n: int, modulus_count: int) -> tuple[int, int]:
+def memory_charge(levels: list[Level], n: int) -> tuple[int, int]:
     """(windows of the largest gap block with its probes, bytes the screen
     needs) for the bound n: per window of that block, 8 bytes of the one
     sorted column of gap windows and probes and 1 byte of its repeat mask;
-    per integer up to n, the first modulus' prefix array and scratch; and
-    the moduli themselves."""
+    and per integer up to n, the first modulus' prefix array and scratch."""
     largest = max(level.gap_windows + level.probe_windows for level in levels)
-    return largest, 9 * largest + (8 + _SCRATCH_BYTES) * (n + 1) + _MODULUS_BYTES * modulus_count
+    return largest, 9 * largest + (8 + _SCRATCH_BYTES) * (n + 1)
 
 
 def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:

@@ -29,6 +29,10 @@ from .sums import window_power_sum
 
 _MODULUS_LOW = 1 << 61
 _MODULUS_HIGH = 1 << 62
+# Past the first, the moduli only split the screen's rare groups, each
+# adding about 61 bits to a fingerprint, and drawing them takes time
+# quadratic in their count; a search takes at most this many.
+_MODULUS_COUNT_MAX = 64
 
 
 class SearchConfig(namedtuple("SearchConfig", "max_n exponent modulus_count seed")):
@@ -41,8 +45,8 @@ class SearchConfig(namedtuple("SearchConfig", "max_n exponent modulus_count seed
             raise ValueError("search bound must be at least 2")
         if exponent < 1:
             raise ValueError("exponent must be a positive integer")
-        if modulus_count < 1:
-            raise ValueError("need at least one screening modulus")
+        if not 1 <= modulus_count <= _MODULUS_COUNT_MAX:
+            raise ValueError(f"{modulus_count} moduli: the screen takes 1 to {_MODULUS_COUNT_MAX}")
         return super().__new__(cls, max_n, exponent, modulus_count, seed)
 
     _make = classmethod(checked_make)
@@ -56,10 +60,11 @@ class CollisionReport(
 ):
     """What `search` found: the collision pairs are sorted lists of `IntervalPair`.
 
-    ``stats`` holds the phase timings (prefix_s: partitioning, choosing the
-    moduli and building the first one's prefix array), partition and
-    screen counters and the peak RSS (peak_rss_kb, VmHWM): run metadata
-    for the manifest, never part of the results.
+    Every field but ``stats`` is a result, and `cli` reports them as they
+    are.  ``stats`` holds the phase timings (prefix_s: partitioning,
+    choosing the moduli and building the first one's prefix array),
+    partition and screen counters and the peak RSS (peak_rss_kb, VmHWM):
+    run metadata for the manifest, never part of the results.
     """
 
     __slots__ = ()
@@ -101,7 +106,7 @@ def search(config: SearchConfig) -> CollisionReport:
     although only the gap blocks of `screen.partition` are compared: the
     `screen` module docstring says why, and how its two passes run.  The
     memory guard asks for `screen.memory_charge`, which counts the first
-    modulus' prefix array and the moduli, before any modulus is chosen.
+    modulus' prefix array, before any modulus is chosen.
     A gap window belongs to one block, and a probe is paired only with
     gap windows, so no pair is screened twice; pairs are reported in
     sorted window order, so output is deterministic.
@@ -110,10 +115,10 @@ def search(config: SearchConfig) -> CollisionReport:
 
     screen.load_numpy()  # its import counts in the run's wall time, not in prefix_s
     t0 = time.perf_counter()
-    n, m = config.max_n, config.modulus_count
+    n = config.max_n
     levels = screen.partition(n)
-    largest, nbytes = screen.memory_charge(levels, n, m)
-    require_memory(nbytes, f"the largest screen block of {largest} windows and {m} moduli")
+    largest, nbytes = screen.memory_charge(levels, n)
+    require_memory(nbytes, f"the largest screen block of {largest} windows")
     moduli = select_moduli(config)
     prefix = prefix_residues(n, moduli[0], config.exponent)
     t_setup = time.perf_counter()

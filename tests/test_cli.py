@@ -166,15 +166,20 @@ def test_window_too_long_to_sum_exits_two_before_summing(argv):
 
 
 def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys):
-    # 10^8 moduli are charged 56 B each, 5.6 GB, more than a 4 GiB machine
-    # has; no modulus may be drawn
+    # drawing a modulus scans the ones already drawn, so 10^8 of them would
+    # never finish, whatever the memory; the count is refused before any
+    # modulus is drawn, on any machine
     def unreachable(*args):
-        raise AssertionError("search chose moduli past the memory guard")
+        raise AssertionError("search chose moduli past the count bound")
 
-    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 4 << 30)
+    true_select_moduli = search_module.select_moduli
     monkeypatch.setattr(search_module, "select_moduli", unreachable)
-    assert main(["search", "--max-n", "1000", "--moduli", "100000000"]) == 2
-    assert "100000000 moduli" in capsys.readouterr().err
+    for count in ("100000000", "65"):
+        assert main(["search", "--max-n", "10", "--moduli", count]) == 2
+        err = capsys.readouterr().err
+        assert f"{count} moduli" in err and err.count("\n") == 1
+    monkeypatch.setattr(search_module, "select_moduli", true_select_moduli)
+    assert main(["search", "--max-n", "10", "--moduli", "64"]) == 0
 
 
 def _largest_screen_block(n):
@@ -185,12 +190,11 @@ def _largest_screen_block(n):
 def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
     # 9 B per window of the largest block (the shared buffer and the repeat
     # mask), plus 8 B per integer up to N for the first modulus' prefix
-    # array and 32 B for the scratch of one run of windows, plus 56 B for
-    # each of the 3 moduli: one byte less is refused, and the search runs
-    # at exactly that much
+    # array and 32 B for the scratch of one run of windows: one byte less
+    # is refused, and the search runs at exactly that much
     assert _largest_screen_block(1000) == 10884
-    charge = 9 * _largest_screen_block(1000) + (8 + 32) * 1001 + 56 * 3
-    assert charge == 138_164
+    charge = 9 * _largest_screen_block(1000) + (8 + 32) * 1001
+    assert charge == 137_996
     monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
     assert f"needs {charge} bytes" in capsys.readouterr().err

@@ -34,11 +34,13 @@ from hypharm.lemmas import (
     sweep_bracket_identity,
     sweep_decompose,
     sweep_e11_box,
+    sweep_eta_grid,
     sweep_large_prime_window,
     sweep_lcm_bound,
     sweep_prime_window,
     taylor_decompose,
 )
+from hypharm.report import results_bytes
 from hypharm.sums import Interval, IntervalPair, epsilon, g_exact, solve_eta
 
 import oracles
@@ -595,3 +597,38 @@ def test_e11_box_sweep_is_clean_and_matches_known_structure():
     # the identity is symmetric, so solutions come in mirror pairs
     assert all((a2, s, a1, r) in solutions for a1, r, a2, s in solutions)
     assert (3, 0, 7, 16) in box.notes["disjoint"]
+
+
+def test_e11_box_sweep_keeps_its_own_stats():
+    # of the 9,336 solutions in the 300 x 30 box, 9,300 pair a window with
+    # itself, 14 are disjoint and none meets the chain's hypotheses
+    box = sweep_e11_box(300, 30)
+    assert set(box.stats) == {"windows", "nontrivial_solutions", "disjoint", "chain_eligible",
+                              "sweep_s"}
+    assert box.stats["windows"] == 300 * 31 == 9300
+    assert box.stats["nontrivial_solutions"] == box.checked - 9300 == 36
+    assert box.stats["disjoint"] == len(box.notes["disjoint"]) == 14
+    assert box.stats["chain_eligible"] == len(box.notes["chain_eligible"]) == 0
+    assert box.stats["sweep_s"] > 0
+
+
+@pytest.mark.parametrize(
+    "a_max, r_max, bits, windows, working_bits",
+    [(4, 3, 64, 16, 64 + 8 + 1), (300, 0, 8, 300, 2 * 9 + 8 + 1)],
+)
+def test_eta_grid_sweep_keeps_its_own_stats(a_max, r_max, bits, windows, working_bits):
+    # w + 1 bits, w = max(p + 8, 2*bitlen(a+r) + 8): at low precision the
+    # box's far corner sets it
+    enclosures, band = sweep_eta_grid(a_max, r_max, bits)
+    assert set(enclosures.stats) == {"windows", "working_bits", "sweep_s"}
+    assert enclosures.stats["windows"] == windows == enclosures.checked == band.checked
+    assert enclosures.stats["working_bits"] == working_bits
+    assert enclosures.stats["sweep_s"] > 0
+
+
+def test_sweep_stats_stay_out_of_the_results():
+    plain, timed = sweep_e11_box(40, 4), sweep_e11_box(40, 4)
+    assert timed.stats
+    plain.stats = {}
+    assert results_bytes([plain]) == results_bytes([timed])
+    assert "stats" not in results_bytes([timed]).decode()

@@ -32,6 +32,8 @@ def test_config_validation():
         SearchConfig(max_n=10, exponent=0)
     with pytest.raises(ValueError):
         SearchConfig(max_n=10, modulus_count=0)
+    with pytest.raises(ValueError):
+        SearchConfig(max_n=10, modulus_count=65)
 
 
 def test_config_make_and_replace_validate_as_the_constructor():
@@ -40,7 +42,7 @@ def test_config_make_and_replace_validate_as_the_constructor():
         lambda *fields: SearchConfig._make(fields),
         lambda *fields: SearchConfig(10)._replace(**dict(zip(SearchConfig._fields, fields))),
     )
-    for fields in ((1, 2, 3, 0), (10, 0, 3, 0), (10, 2, 0, 0)):
+    for fields in ((1, 2, 3, 0), (10, 0, 3, 0), (10, 2, 0, 0), (10, 2, 65, 0)):
         messages = set()
         for build in builds:
             with pytest.raises(ValueError) as error:
@@ -233,12 +235,10 @@ def test_partition_covers_every_window_once(n):
     # the 1 is [1, 1], which no level takes
     assert ends + gaps + 1 == n * (n + 1) // 2
     # 9 B per window of the largest block (its residue and its byte of the
-    # repeat mask), per integer 8 B of prefix array and 32 B of scratch,
-    # and 56 B per modulus, whatever the count of moduli
-    largest, charge = memory_charge(levels, n, 1)
+    # repeat mask), and per integer 8 B of prefix array and 32 B of scratch
+    largest, charge = memory_charge(levels, n)
     assert largest == max(level.gap_windows + level.probe_windows for level in levels)
-    assert charge == 9 * largest + (8 + 32) * (n + 1) + 56
-    assert memory_charge(levels, n, 3) == (largest, charge + 2 * 56)
+    assert charge == 9 * largest + (8 + 32) * (n + 1)
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
@@ -353,8 +353,8 @@ def test_phase_timings_do_not_exceed_the_search(monkeypatch):
 def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys):
     # with the moduli and the prefix array built beforehand, what the
     # screen allocates is the shared buffer, the repeat mask of one block
-    # and the scratch of one run: the charge less the prefix array and the
-    # moduli must hold it.  At these bounds it holds it with less than a
+    # and the scratch of one run: the charge less the prefix array must
+    # hold it.  At these bounds it holds it with less than a
     # byte per window of the largest block to spare, so a charge that left
     # out the mask would not.  A 30-bit first modulus makes first residues
     # repeat, so pass 2 runs, with its scratch, its exact sums and its
@@ -365,7 +365,7 @@ def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys
         moduli = (oracles.forced_first_modulus(first_bits), *moduli[1:])
     prefix = prefix_residues(n, moduli[0], config.exponent)
     levels = partition(n)
-    largest, charge = memory_charge(levels, n, len(moduli))
+    largest, charge = memory_charge(levels, n)
 
     def exact_sum(interval):
         return window_power_sum(interval, config.exponent)
@@ -378,7 +378,7 @@ def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys
     finally:
         tracemalloc.stop()
     assert blocks.duplicate_keys == duplicate_keys
-    assert 9 * largest < peak <= charge - 8 * (n + 1) - 56 * len(moduli)
+    assert 9 * largest < peak <= charge - 8 * (n + 1)
 
 
 def test_prefix_s_leaves_out_numpys_import(monkeypatch):
