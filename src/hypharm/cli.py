@@ -258,7 +258,7 @@ def cmd_decompose(args) -> Run:
     if not (pair.disjoint or pair.nested):
         flags = " ".join(f"--{flag} {value}" for flag, value in parameters.items())
         raise ValueError(
-            f"windows overlap or touch; run `hypharm reduce {flags}` "
+            f"windows overlap; run `hypharm reduce {flags}` "
             "to rewrite them as a disjoint pair first"
         )
     from . import lemmas

@@ -36,15 +36,16 @@ largest gap block with its probes, not by the N(N+1)/2 windows.
 
 Inside a gap block `BlockScreen` writes the residues modulo the first
 prime of the gap windows and the probes into one column, read off the
-first modulus' prefix array, and sorts it once.  Only if one repeats does
-it walk the same runs of windows again, mark by binary search those whose
-first residue repeats, and sum only those exactly; each sum's residues
-modulo every prime are its fingerprint, as no prime above N divides its
-denominator.  Two probes are compared one level down, so the probes are
-walked only for the repeated residues that a gap window holds.  It calls
-nothing that loads numpy.ma (np.unique does).
-`search` imports this module when it runs, so the other subcommands
-neither load numpy nor compile the screen.
+first modulus' prefix array, and sorts it once; the fill checks that it
+wrote exactly the level's count of windows.  Only if a residue repeats
+does it read the same runs again, search the windows the fill wrote, by
+binary search, for those whose first residue repeats, and sum only those
+exactly; each sum's residues modulo every prime are its fingerprint, as
+no prime above N divides its denominator.  Two probes are compared one
+level down, so the probes are searched only for the repeated residues
+that a gap window holds.  It calls nothing that loads numpy.ma (np.unique
+does).  `search` imports this module when it runs, so the other
+subcommands neither load numpy nor compile the screen.
 """
 
 from __future__ import annotations
@@ -80,29 +81,43 @@ class Level:
 
     `primes` holds q_1 < ... < q_k, the primes in (top/2, top], and
     `bounds` the next one after each, q_{j+1}, with q_{k+1} = top + 1
-    (both int64 arrays).
+    (both int64 arrays).  `longest_gap` is the most integers strictly
+    between q_j and q_{j+1}, the length of the longest gap window;
+    `gap_windows` counts the gap windows, and `probe_windows` the windows
+    inside [1, q_1 - 1] shorter than the longest gap window.
+
+    `gap_runs` and `probe_runs` yield the block's windows as runs,
+    (a0, count, length, keep): the windows of that length starting at
+    a = a0, ..., a0 + count - 1, restricted to the positions where the
+    bool array `keep` is true unless it is None.
     """
 
     def __init__(self, top: int, primes):
         self.top, self.primes = top, primes
         self.bounds = load_numpy().append(primes[1:], top + 1)
-
-    @property
-    def longest_gap(self) -> int:
-        """Length of the longest gap window: the most integers strictly
-        between q_j and q_{j+1}."""
-        return int((self.bounds - self.primes).max()) - 1
-
-    @property
-    def gap_windows(self) -> int:
-        gaps = self.bounds - self.primes - 1
-        return int((gaps * (gaps + 1) // 2).sum())
-
-    @property
-    def probe_windows(self) -> int:
-        """Windows inside [1, q_1 - 1] shorter than the longest gap window."""
+        gaps = self.bounds - primes - 1
+        self.longest_gap = int(gaps.max())
+        self.gap_windows = int((gaps * (gaps + 1) // 2).sum())
         shorter = max(self.longest_gap - 1, 0)
-        return shorter * int(self.primes[0]) - shorter * (shorter + 1) // 2
+        self.probe_windows = shorter * int(primes[0]) - shorter * (shorter + 1) // 2
+
+    def gap_runs(self):
+        """The gap windows, a run per length over the starts above q_1."""
+        np = load_numpy()
+        q1, top = int(self.primes[0]), self.top
+        starts = np.arange(q1 + 1, top + 1)
+        # room[a - q1 - 1]: how many of a, a+1, ... come before the next prime
+        room = self.bounds[np.searchsorted(self.bounds, starts)] - starts
+        del starts
+        for length in range(1, self.longest_gap + 1):
+            count = top - q1 - length + 1
+            yield q1 + 1, count, length, room[:count] >= length
+
+    def probe_runs(self):
+        """The probes, a run per length, every start kept."""
+        q1 = int(self.primes[0])
+        for length in range(1, self.longest_gap):
+            yield 1, q1 - length, length, None
 
 
 def partition(n: int) -> list[Level]:
@@ -134,11 +149,6 @@ def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
     ]
 
 
-# A run of windows, (a0, count, length, keep): the windows of that length
-# starting at a = a0, ..., a0 + count - 1, restricted to the positions
-# where the bool array `keep` is true unless it is None.
-
-
 class BlockScreen:
     """Both passes over the gap blocks, and what they found.
 
@@ -158,70 +168,55 @@ class BlockScreen:
         self.screen_pairs: list[IntervalPair] = []
         self.exact_pairs: list[IntervalPair] = []
 
-    def run(self, levels: list[Level]) -> None:
-        for level in levels:
-            self.gap_block(level)
+    def _kept(self, a0: int, count: int, length: int, keep):
+        """(offsets, residues) of a run's kept windows: their starts less
+        a0, None when `keep` is None and every start is kept, and their
+        sums mod the first prime p.
 
-    def _reduce(self, diff):
-        """diff mod the first prime, in place.
-
-        diff holds differences of prefix entries, which lie in (-p, p), as
-        unsigned 64-bit integers (a negative one wrapped to 2^64 + diff), so
-        adding p wraps exactly the negative ones into [0, p): the smaller of
-        diff and diff + p is the residue.
+        The sums are differences of prefix entries, which lie in (-p, p),
+        as unsigned 64-bit integers (a negative one wrapped to
+        2^64 + diff), so adding p wraps exactly the negative ones into
+        [0, p): the smaller of diff and diff + p is the residue.
         """
         np = self.np
-        return np.minimum(diff, diff + np.uint64(self.moduli[0]), out=diff)
-
-    def _residues(self, a0: int, count: int, length: int):
-        """Window sums mod the first prime along a run (keep not applied)."""
         b0 = a0 + length - 1
-        return self._reduce(self.prefix[b0 : b0 + count] - self.prefix[a0 - 1 : a0 - 1 + count])
+        diff = self.prefix[b0 : b0 + count] - self.prefix[a0 - 1 : a0 - 1 + count]
+        residues = np.minimum(diff, diff + np.uint64(self.moduli[0]), out=diff)
+        if keep is None:
+            return None, residues
+        offsets = np.flatnonzero(keep)
+        return offsets, residues[offsets]
 
     def _filled(self, runs, size: int):
-        """The first residues of the runs' kept windows, in buffer[:size]."""
+        """The first residues of the runs' kept windows, which must number
+        `size`, the level's count, in buffer[:size]."""
         t0 = time.perf_counter()
         keys = self.buffer[:size]
         filled = 0
-        for a0, count, length, keep in runs:
-            run = self._residues(a0, count, length)
-            if keep is not None:
-                run = run[keep]
-            keys[filled : filled + run.size] = run
-            filled += run.size
+        for run in runs:
+            _, residues = self._kept(*run)
+            assert filled + residues.size <= size, f"the runs hold more than {size} windows"
+            keys[filled : filled + residues.size] = residues
+            filled += residues.size
+        assert filled == size, f"the runs hold {filled} windows, not {size}"
         self.fill_s += time.perf_counter() - t0
         return keys
 
     def gap_block(self, level: Level) -> None:
         """The level's gap windows, among themselves and against its probes."""
-        np = self.np
-        q1, top, longest = int(level.primes[0]), level.top, level.longest_gap
-        starts = np.arange(q1 + 1, top + 1)
-        # room[a - q1 - 1]: how many of a, a+1, ... come before the next prime
-        room = level.bounds[np.searchsorted(level.bounds, starts)] - starts
-        del starts
-
-        def gap_runs():
-            for length in range(1, longest + 1):
-                count = top - q1 - length + 1
-                yield q1 + 1, count, length, room[:count] >= length
-
-        def probe_runs():
-            for length in range(1, longest):
-                yield 1, q1 - length, length, None
-
-        keys = self._filled(chain(gap_runs(), probe_runs()), level.gap_windows + level.probe_windows)
+        runs = chain(level.gap_runs(), level.probe_runs())
+        keys = self._filled(runs, level.gap_windows + level.probe_windows)
         t0 = time.perf_counter()
         keys.sort()
         # the values that occur more than once in the block (with repeats)
         repeated = keys[1:][keys[1:] == keys[:-1]]
         self.sort_s += time.perf_counter() - t0
         if repeated.size:
-            self._confirm(repeated, gap_runs(), probe_runs())
+            self._confirm(repeated, level)
 
-    def _confirm(self, repeated, own_runs, probe_runs) -> None:
-        """Group the runs' kept windows whose first residue is repeated by
-        full fingerprint, and confirm every group exactly."""
+    def _confirm(self, repeated, level: Level) -> None:
+        """Group the level's kept windows whose first residue is repeated
+        by full fingerprint, and confirm every group exactly."""
         np = self.np
         t0 = time.perf_counter()
         # the distinct repeated values, still sorted
@@ -229,13 +224,15 @@ class BlockScreen:
         self.duplicate_keys += repeats.size
         # fingerprint -> exact sum -> (gap windows, probes) with that sum
         by_print: dict[Fingerprint, dict[Fraction, tuple[list[Interval], list[Interval]]]] = {}
-        for side, runs in enumerate((own_runs, probe_runs)):
+        for side, runs in enumerate((level.gap_runs(), level.probe_runs())):
             for a0, count, length, keep in runs:
-                run = self._residues(a0, count, length)
-                hits = np.searchsorted(repeats, run, "left") != np.searchsorted(repeats, run, "right")
-                if keep is not None:
-                    hits &= keep
-                for a in (np.flatnonzero(hits) + a0).tolist():
+                offsets, residues = self._kept(a0, count, length, keep)
+                # a hit where the repeat at a residue's sorted place equals it
+                place = np.searchsorted(repeats, residues)
+                hits = np.flatnonzero(repeats.take(place, mode="clip") == residues)
+                if offsets is not None:
+                    hits = offsets[hits]
+                for a in (hits + a0).tolist():
                     interval = Interval(a, length - 1)
                     value = self.exact_sum(interval)
                     fingerprint = tuple(
@@ -243,7 +240,7 @@ class BlockScreen:
                     )
                     by_value = by_print.setdefault(fingerprint, {})
                     by_value.setdefault(value, ([], []))[side].append(interval)
-            # two probes are compared one level down, so a probe is walked
+            # two probes are compared one level down, so a probe is searched
             # only for a first residue that one of the gap windows holds
             repeats = np.array(sorted({fingerprint[0] for fingerprint in by_print}), dtype=np.uint64)
             if not repeats.size:

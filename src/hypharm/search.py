@@ -43,6 +43,8 @@ class SearchConfig(namedtuple("SearchConfig", "max_n exponent modulus_count seed
     def __new__(cls, max_n: int, exponent: int = 2, modulus_count: int = 3, seed: int = 0):
         if max_n < 2:
             raise ValueError("search bound must be at least 2")
+        if max_n >= _MODULUS_LOW:
+            raise ValueError(f"search bound {max_n} must lie below 2^61: every modulus must exceed it")
         if exponent < 1:
             raise ValueError("exponent must be a positive integer")
         if not 1 <= modulus_count <= _MODULUS_COUNT_MAX:
@@ -76,7 +78,7 @@ def select_moduli(config: SearchConfig) -> tuple[int, ...]:
     chosen: list[int] = []
     while len(chosen) < config.modulus_count:
         candidate = rng.randrange(_MODULUS_LOW, _MODULUS_HIGH) | 1
-        if candidate > config.max_n and candidate not in chosen and miller_rabin(candidate):
+        if candidate not in chosen and miller_rabin(candidate):
             chosen.append(candidate)
     return tuple(chosen)
 
@@ -127,7 +129,8 @@ def search(config: SearchConfig) -> CollisionReport:
         return window_power_sum(interval, config.exponent)
 
     blocks = screen.BlockScreen(moduli, largest, prefix, exact_sum)
-    blocks.run(levels)
+    for level in levels:
+        blocks.gap_block(level)
     blocks.screen_pairs.sort()  # by (first, second), each window by (a, r)
     blocks.exact_pairs.sort()
 

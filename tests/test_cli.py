@@ -333,6 +333,28 @@ def test_usage_errors_exit_two_with_one_message_and_no_report(argv, capsys):
         assert ("hypharm reduce" in err) == (main(["reduce", *argv[1:]]) == 0), err
 
 
+def test_decompose_accepts_touching_windows_and_names_an_overlap(tmp_path, capsys):
+    # [1, 2] and [3, 4] touch but share no term: a disjoint pair
+    code, _ = run_cli(["decompose", "--a1", "1", "--r", "1", "--a2", "3", "--s", "1"], tmp_path)
+    assert code == 0
+    assert main(["decompose", "--a1", "1", "--r", "2", "--a2", "3", "--s", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypharm decompose: windows overlap; ") and "touch" not in err, err
+
+
+def test_search_bound_that_no_modulus_exceeds_exits_two_before_any_sieve(monkeypatch, capsys):
+    # every modulus is drawn from [2^61, 2^62), so a bound of 2^61 would
+    # leave select_moduli drawing without end; it is refused before the
+    # search's memory guard or its sieve see it
+    def unreachable(*args):
+        raise AssertionError("search started work past the bound check")
+
+    monkeypatch.setattr(cli_module, "search", unreachable)
+    assert main(["search", "--max-n", str(2**61)]) == 2
+    err = capsys.readouterr().err
+    assert "2^61" in err and err.count("\n") == 1, err
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     missing = tmp_path / "missing" / "out.json"
     assert main(["verify", "--lemma", "power-sums", "--r-max", "3", "--output", str(missing)]) == 2

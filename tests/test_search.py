@@ -34,6 +34,10 @@ def test_config_validation():
         SearchConfig(max_n=10, modulus_count=0)
     with pytest.raises(ValueError):
         SearchConfig(max_n=10, modulus_count=65)
+    # every modulus is drawn from [2^61, 2^62) and must exceed the bound
+    with pytest.raises(ValueError, match=r"2\^61"):
+        SearchConfig(max_n=2**61)
+    assert SearchConfig(max_n=2**61 - 1).max_n == 2**61 - 1
 
 
 def test_config_make_and_replace_validate_as_the_constructor():
@@ -42,7 +46,7 @@ def test_config_make_and_replace_validate_as_the_constructor():
         lambda *fields: SearchConfig._make(fields),
         lambda *fields: SearchConfig(10)._replace(**dict(zip(SearchConfig._fields, fields))),
     )
-    for fields in ((1, 2, 3, 0), (10, 0, 3, 0), (10, 2, 0, 0), (10, 2, 65, 0)):
+    for fields in ((1, 2, 3, 0), (2**61, 2, 3, 0), (10, 0, 3, 0), (10, 2, 0, 0), (10, 2, 65, 0)):
         messages = set()
         for build in builds:
             with pytest.raises(ValueError) as error:
@@ -373,12 +377,56 @@ def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys
     tracemalloc.start()
     try:
         blocks = BlockScreen(moduli, largest, prefix, exact_sum)
-        blocks.run(levels)
+        for level in levels:
+            blocks.gap_block(level)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert blocks.duplicate_keys == duplicate_keys
     assert 9 * largest < peak <= charge - 8 * (n + 1)
+
+
+def test_pass_two_searches_only_the_windows_the_fill_wrote(monkeypatch):
+    # a gap run holds a start for every integer above q_1, most of them
+    # not kept (at N = 10^5 5.95M starts for 0.78M gap windows); pass 2
+    # must search the repeated residues only for the windows the fill
+    # wrote, so that all binary searches of a search, its room arrays
+    # included, take no more than two elements per screened window
+    import numpy
+
+    n = 20_000
+    searched = []
+    true_searchsorted = numpy.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        searched.append(numpy.size(v))
+        return true_searchsorted(a, v, *args, **kwargs)
+
+    first = oracles.forced_first_modulus(30)
+    moduli = (first, *select_moduli(SearchConfig(max_n=n))[1:])
+    monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
+    monkeypatch.setattr(numpy, "searchsorted", counted)
+    report = search(SearchConfig(max_n=n))
+    assert report.stats["duplicate_keys"] == 222
+    assert sum(searched) <= 2 * (report.stats["gap_windows"] + report.stats["probe_windows"])
+
+
+@pytest.mark.parametrize("miscount", [1, -1], ids=["one-more", "one-fewer"])
+def test_fill_refuses_a_level_count_its_runs_do_not_hold(miscount):
+    # a partition bug must show as a traceback: the fill checks that the
+    # level's runs hold exactly its count, neither writing past it (a
+    # numpy ValueError, which main would report as a usage error) nor
+    # leaving a stale tail of the buffer in the sorted column
+    n = 200
+    level = partition(n)[0]
+    level.gap_windows += miscount
+    moduli = select_moduli(SearchConfig(max_n=n))
+    blocks = BlockScreen(
+        moduli, level.gap_windows + level.probe_windows,
+        prefix_residues(n, moduli[0], 2), lambda interval: window_power_sum(interval, 2),
+    )
+    with pytest.raises(AssertionError):
+        blocks.gap_block(level)
 
 
 def test_prefix_s_leaves_out_numpys_import(monkeypatch):
