@@ -4,13 +4,13 @@ Subcommands: search, verify, eta, decompose, reduce.  Exit codes: 0 when
 everything checked holds, 1 when a falsifying instance was found (for
 `search`, an exact collision would refute the headline claim) or a
 certificate could not be established (`sums.CertificateError`), 2 on
-usage errors: a flag the subcommand does not read (`--seed` exists on
-search and verify only, `--precision-bits` on verify and eta only),
---precision-bits outside [1, MAX_PRECISION_BITS], a `verify` box that
-holds no instance, a search bound or prime box (the `bertrand` prime
-table, the `prime-window` and `large-prime-window` factor tables) that
-would not fit in physical memory or under the process's address-space
-limit, or a report that cannot be written.
+usage errors: a flag the subcommand does not read (for `verify`, a flag
+outside the lemma's `_VERIFY` entry), --precision-bits outside [1,
+MAX_PRECISION_BITS], a `verify` box that holds no instance, a search
+bound or prime box (the `bertrand` prime table, the `prime-window` and
+`large-prime-window` factor tables) that would not fit in physical memory
+or under the process's address-space limit, or a report that cannot be
+written.
 
 Each `cmd_*` handler returns a `Run` (its verdict in `exit_code`), or
 raises ValueError for a usage error.  `main` alone turns that, or a
@@ -89,13 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lemma",
         required=True,
-        choices=tuple(_VERIFY_BOXES),
+        choices=tuple(_VERIFY),
     )
-    for name in _BOX_FLAGS:
-        p.add_argument("--" + name.replace("_", "-"), type=int)
+    for name in _VERIFY_FLAGS:  # an unset flag stays out of the namespace
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS)
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION_BITS)
 
     p = sub.add_parser("eta", help="certified product-form offset for one window")
     p.add_argument("--a", type=int, required=True)
@@ -134,73 +132,73 @@ def cmd_search(args) -> Run:
     )
 
 
-# Each lemma's box parameters: (default, least value that still leaves an
-# instance to check).  A box below that would certify nothing, vacuously.
-_VERIFY_BOXES = {
-    "bertrand": {"n_max": (10_000, 2)},  # the [n, 2n-1] sweep starts at n = 2
-    "prime-window": {"k_max": (20, 1), "n_span": (500, 1)},
-    "lcm-bound": {"a_max": (10, 1), "b_max": (10, 1), "n_max": (8, 0)},
-    "large-prime-window": {"k_max": (10, 1), "n_span": (300, 0)},
-    "power-sums": {"r_max": (200, 1)},
-    "eta-band": {"a_max": (20, 1), "r_max": (10, 0)},
-    "bracket-identity": {"pairs": (100, 1), "max_total": (200, 2)},
-    "e11-search": {"a_max": (100, 1), "w_max": (12, 0)},
-    "decompose": {"pairs": (100, 1), "max_total": (500, 2)},
+# Each lemma's flags, as (default, least value that still leaves an instance to
+# check; None if every value does), and its sweeps, called with the lemmas module
+# and the filled box.  A box below a least would certify nothing, vacuously.
+_VERIFY = {
+    "bertrand": (
+        {"n_max": (10_000, 2)},  # the [n, 2n-1] sweep starts at n = 2
+        lambda lm, **box: [lm.sweep_bertrand(**box), lm.sweep_bertrand(**box, remark=True)],
+    ),
+    "prime-window": (
+        {"k_max": (20, 1), "n_span": (500, 1)}, lambda lm, **box: [lm.sweep_prime_window(**box)]
+    ),
+    "lcm-bound": (
+        {"a_max": (10, 1), "b_max": (10, 1), "n_max": (8, 0)},
+        lambda lm, **box: [lm.sweep_lcm_bound(**box)],
+    ),
+    "large-prime-window": (
+        {"k_max": (10, 1), "n_span": (300, 0)},
+        lambda lm, **box: [lm.sweep_large_prime_window(**box)],
+    ),
+    "power-sums": ({"r_max": (200, 1)}, lambda lm, **box: [lm.sweep_power_sums(**box)]),
+    "eta-band": (
+        {"a_max": (20, 1), "r_max": (10, 0), "precision_bits": (DEFAULT_PRECISION_BITS, None)},
+        lambda lm, **box: list(lm.sweep_eta_grid(**box)),
+    ),
+    "bracket-identity": (
+        {
+            "pairs": (100, 1),
+            "max_total": (200, 2),
+            "seed": (0, None),
+            "precision_bits": (DEFAULT_PRECISION_BITS, None),
+        },
+        lambda lm, pairs, **box: [lm.sweep_bracket_identity(pairs, **box)],
+    ),
+    "e11-search": (
+        {"a_max": (100, 1), "w_max": (12, 0)}, lambda lm, **box: [lm.sweep_e11_box(**box)]
+    ),
+    "decompose": (
+        {"pairs": (100, 1), "max_total": (500, 2), "seed": (0, None)},
+        lambda lm, pairs, **box: [lm.sweep_decompose(pairs, **box)],
+    ),
 }
 
 
-_BOX_FLAGS = sorted({name for box in _VERIFY_BOXES.values() for name in box})
+_VERIFY_FLAGS = sorted({name for flags, _ in _VERIFY.values() for name in flags})
 
 
 def _verify_box(args) -> dict:
-    """The lemma's box with defaults filled in; ValueError if it is empty
-    or if a box flag was given that the lemma does not read."""
-    for name in _BOX_FLAGS:
-        if name not in _VERIFY_BOXES[args.lemma] and getattr(args, name) is not None:
+    """The flags the lemma reads, with defaults filled in; ValueError if the
+    box is empty or if a flag was given that the lemma does not read."""
+    flags, _ = _VERIFY[args.lemma]
+    given = vars(args)
+    for name in _VERIFY_FLAGS:
+        if name in given and name not in flags:
             raise ValueError(f"--{name.replace('_', '-')} does not apply to --lemma {args.lemma}")
-    box = {}
-    for name, (default, least) in _VERIFY_BOXES[args.lemma].items():
-        value = default if getattr(args, name) is None else getattr(args, name)
-        if value < least:
+    box = {name: given.get(name, default) for name, (default, _) in flags.items()}
+    for name, (_, least) in flags.items():
+        if least is not None and box[name] < least:
             raise ValueError(
-                f"--{name.replace('_', '-')} {value} leaves nothing to check; needs >= {least}"
+                f"--{name.replace('_', '-')} {box[name]} leaves nothing to check; needs >= {least}"
             )
-        box[name] = value
     return box
 
 
-def _run_verify(args) -> tuple[list, dict]:
-    """The lemma's `lemmas.SweepResult`s and the report's parameters."""
+def cmd_verify(args) -> Run:
     from . import lemmas  # eta, reduce and search never load the lemmas
 
-    box = _verify_box(args)
-    lemma, bits, seed = args.lemma, args.precision_bits, args.seed
-    if lemma == "bertrand":
-        n_max = box["n_max"]
-        return [lemmas.sweep_bertrand(n_max), lemmas.sweep_bertrand(n_max, remark=True)], box
-    if lemma == "prime-window":
-        return [lemmas.sweep_prime_window(**box)], box
-    if lemma == "lcm-bound":
-        return [lemmas.sweep_lcm_bound(**box)], box
-    if lemma == "large-prime-window":
-        return [lemmas.sweep_large_prime_window(**box)], box
-    if lemma == "power-sums":
-        return [lemmas.sweep_power_sums(**box)], box
-    if lemma == "eta-band":
-        sweeps = lemmas.sweep_eta_grid(**box, precision_bits=bits)
-        return list(sweeps), box | {"precision_bits": bits}
-    if lemma == "bracket-identity":
-        sweep = lemmas.sweep_bracket_identity(box["pairs"], seed, box["max_total"], bits)
-        return [sweep], box | {"seed": seed, "precision_bits": bits}
-    if lemma == "e11-search":
-        return [lemmas.sweep_e11_box(**box)], box
-    if lemma == "decompose":
-        return [lemmas.sweep_decompose(box["pairs"], seed, box["max_total"])], box | {"seed": seed}
-    raise AssertionError(f"unhandled lemma {lemma}")
-
-
-def cmd_verify(args) -> Run:
-    sweeps, params = _run_verify(args)
+    sweeps = _VERIFY[args.lemma][1](lemmas, **args.box)
     stats = {key: value for sweep in sweeps for key, value in sweep.stats.items()}
     all_hold = all(sweep.holds for sweep in sweeps)
     results = [
@@ -216,7 +214,7 @@ def cmd_verify(args) -> Run:
         for sweep in sweeps
     ]
     return Run(
-        {"lemma": args.lemma, **params},
+        {"lemma": args.lemma, **args.box},
         results,
         "all instances hold" if all_hold else "falsified instances found",
         EXIT_OK if all_hold else EXIT_FALSIFIED,
@@ -316,6 +314,8 @@ def main(argv=None) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     t0 = time.perf_counter()
     try:
+        # a verify flag the lemma does not read is refused before any range check
+        args.box = _verify_box(args) if args.subcommand == "verify" else None
         if hasattr(args, "precision_bits") and not 1 <= args.precision_bits <= MAX_PRECISION_BITS:
             raise ValueError(f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}]")
         run = _HANDLERS[args.subcommand](args)

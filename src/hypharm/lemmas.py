@@ -641,19 +641,22 @@ def random_disjoint_pairs(count: int, seed: int, max_total: int = 500):
     Each pair costs four draws, r <= 24, s <= 24, a1 <= 100 and then a2,
     each capped so that a disjoint pair still fits; for max_total >= 149
     no cap binds.  The smallest disjoint pair, ([1..1], [2..2]), needs
-    max_total >= 2; below that no pair exists and ValueError is raised.
+    max_total >= 2; below that no pair exists and ValueError is raised at
+    the call.  The pairs are drawn one at a time as they are read, so a
+    sweep holds one pair, not `count` of them.
     """
     if max_total < 2:
         raise ValueError(f"no disjoint pair fits under max_total={max_total}; needs >= 2")
-    rng = random.Random(seed)
-    pairs = []
+    return _disjoint_pairs(random.Random(seed), count, max_total)
+
+
+def _disjoint_pairs(rng: random.Random, count: int, max_total: int):
     for _ in range(count):
         r = rng.randint(0, min(24, max_total - 2))
         s = rng.randint(0, min(24, max_total - 2 - r))
         a1 = rng.randint(1, min(100, max_total - r - s - 1))
         a2 = rng.randint(a1 + r + 1, max_total - s)
-        pairs.append(IntervalPair(Interval(a1, r), Interval(a2, s)))
-    return pairs
+        yield IntervalPair(Interval(a1, r), Interval(a2, s))
 
 
 def sweep_eta_grid(

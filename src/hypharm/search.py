@@ -1,12 +1,14 @@
 """Exhaustive screened search for equal window sums up to a bound.
 
-Every window {a, ..., a+r} with 1 <= a <= a+r <= N is screened by its
-sum's residue modulo a large prime, read off one prefix array in O(1) per
-window.  Only the windows whose residue repeats are summed exactly, and
-fingerprinted by the sum's residues modulo several large primes.  Equal
-exact sums force equal fingerprints, so grouping by fingerprint and
-exactly confirming every nontrivial group can never miss a collision; the
-big primes merely keep false groups negligible.
+Every window {a, ..., a+r} with 1 <= a <= a+r <= N is certified, but
+only the gap windows and the probes that `screen.partition` sets out are
+screened, each by its sum's residue modulo a large prime, read off one
+prefix array in O(1) per window; the end blocks are certified by overlap
+reduction (see `screen`).  Only the screened windows whose residue repeats
+are summed exactly, and fingerprinted by the sum's residues modulo several
+large primes.  Equal exact sums force equal fingerprints, so grouping by
+fingerprint and exactly confirming every nontrivial group can never miss a
+collision; the big primes merely keep false groups negligible.
 
 The windows are screened block by block, never all at once (`screen`):
 a prime q in (M/2, M] separates the windows inside [1, M] that hold it

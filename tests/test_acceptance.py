@@ -335,7 +335,7 @@ def test_criterion_4_quadratic_band_closed_form(band_grid):
 
 @pytest.fixture(scope="module")
 def thousand_pairs():
-    return random_disjoint_pairs(1000, seed=0, max_total=500)
+    return list(random_disjoint_pairs(1000, seed=0, max_total=500))
 
 
 def test_criterion_5_decomposition_identity(thousand_pairs):

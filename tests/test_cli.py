@@ -17,7 +17,7 @@ import hypharm.kernel as kernel_module
 import hypharm.lemmas as lemmas_module
 import hypharm.search as search_module
 import hypharm.sums as sums_module
-from hypharm.cli import _VERIFY_BOXES, main
+from hypharm.cli import _VERIFY, main
 from hypharm.kernel import Enclosure, decode_dyadic, unlimited_digits
 from hypharm.report import RunManifest, decode_fraction, encode_value, render, results_bytes
 from hypharm.search import SearchConfig, select_moduli
@@ -450,10 +450,14 @@ def test_no_broad_exception_handlers():
 @pytest.mark.parametrize("bits", [0, -3, MAX_PRECISION_BITS + 1, 5000])
 def test_precision_bits_outside_the_ceiling_exit_two(bits, capsys):
     # at 0 bits the bracket identity used to "hold"
-    argv = ["verify", "--lemma", "bracket-identity", "--pairs", "2", "--precision-bits", str(bits)]
-    assert main(argv) == 2
-    assert "--precision-bits" in capsys.readouterr().err
-    assert main(["eta", "--a", "3", "--r", "1", "--precision-bits", str(bits)]) == 2
+    message = f"--precision-bits must lie in [1, {MAX_PRECISION_BITS}]"
+    for argv in (
+        ["verify", "--lemma", "bracket-identity", "--pairs", "2", "--precision-bits", str(bits)],
+        ["verify", "--lemma", "eta-band", "--a-max", "2", "--precision-bits", str(bits)],
+        ["eta", "--a", "3", "--r", "1", "--precision-bits", str(bits)],
+    ):
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_precision_bits_at_the_ceiling_is_accepted(tmp_path):
@@ -485,28 +489,36 @@ def test_empty_verify_box_exits_two(argv, capsys):
     assert "leaves nothing to check" in capsys.readouterr().err
 
 
-BOX_FLAGS = ("n-max", "k-max", "n-span", "a-max", "b-max", "r-max", "w-max", "pairs", "max-total")
+BOX_FLAGS = (
+    "n-max", "k-max", "n-span", "a-max", "b-max", "r-max", "w-max", "pairs", "max-total",
+    "seed", "precision-bits",
+)
 
 
-def test_box_flags_a_lemma_ignores_exit_two(capsys):
-    # e.g. `--lemma bertrand --k-max 5` used to run bertrand and drop --k-max
+def test_box_flags_a_lemma_ignores_exit_two(tmp_path, capsys):
+    # e.g. `--lemma bertrand --k-max 5` used to run bertrand and drop --k-max, and
+    # `--lemma power-sums --precision-bits 2000` was refused for its range, not
+    # for a flag the lemma never reads: 2000 lies outside [1, MAX_PRECISION_BITS]
     assert {flag.replace("-", "_") for flag in BOX_FLAGS} == {
-        name for box in _VERIFY_BOXES.values() for name in box
+        name for flags, _ in _VERIFY.values() for name in flags
     }
-    for lemma, box in _VERIFY_BOXES.items():
+    for lemma, (flags, _) in _VERIFY.items():
         for flag in BOX_FLAGS:
-            if flag.replace("-", "_") in box:
+            if flag.replace("-", "_") in flags:
                 continue
-            assert main(["verify", "--lemma", lemma, f"--{flag}", "5"]) == 2, (lemma, flag)
+            code, text = run_cli(["verify", "--lemma", lemma, f"--{flag}", "2000"], tmp_path)
+            assert (code, text) == (2, ""), (lemma, flag)
             assert f"--{flag} does not apply to --lemma {lemma}" in capsys.readouterr().err
 
 
 def test_smallest_verify_boxes_check_something(tmp_path):
-    # the common flags are accepted by every lemma, whether it reads them or not
-    for lemma, box in _VERIFY_BOXES.items():
-        argv = ["verify", "--lemma", lemma, "--seed", "3", "--precision-bits", "48"]
-        for name, (_, least) in box.items():
-            argv += [f"--{name.replace('_', '-')}", str(least)]
+    # each lemma is given only the flags it reads: the least of a box flag,
+    # and a seed and a precision other than their defaults
+    for lemma, (flags, _) in _VERIFY.items():
+        argv = ["verify", "--lemma", lemma]
+        for name, (_, least) in flags.items():
+            value = {"seed": 3, "precision_bits": 48}.get(name, least)
+            argv += [f"--{name.replace('_', '-')}", str(value)]
         code, text = run_cli(argv, tmp_path)
         assert code in (0, 1), lemma
         document = json.loads(text)

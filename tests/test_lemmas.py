@@ -533,7 +533,7 @@ def test_eta_paths_compute_each_sum_once(monkeypatch):
         calls.clear()
         solve_eta(Interval(a, r), 64)
         assert calls == {"g_exact": 1, "sqrt_mantissas": 1}, (a, r)
-    pairs = random_disjoint_pairs(25, seed=1)
+    pairs = list(random_disjoint_pairs(25, seed=1))
     calls.clear()
     for pair in pairs:
         assert check_bracket_identity(pair, 64) is Verdict.CERTIFIED
@@ -550,7 +550,7 @@ def test_eta_paths_compute_each_sum_once(monkeypatch):
 def test_random_pairs_need_room_for_a_disjoint_pair():
     with pytest.raises(ValueError):
         random_disjoint_pairs(2, seed=0, max_total=1)
-    assert random_disjoint_pairs(1, seed=0, max_total=2) == [
+    assert list(random_disjoint_pairs(1, seed=0, max_total=2)) == [
         IntervalPair(Interval(1, 0), Interval(2, 0))
     ]
 
@@ -568,7 +568,7 @@ def test_random_pairs_cost_four_draws_each(monkeypatch):
     monkeypatch.setattr(hypharm.lemmas, "random", SimpleNamespace(Random=CountingRandom))
     for max_total in (2, 3, 5, 30, 148, 149, 500):
         draws.clear()
-        pairs = random_disjoint_pairs(25, seed=max_total, max_total=max_total)
+        pairs = list(random_disjoint_pairs(25, seed=max_total, max_total=max_total))
         assert len(draws) == 4 * 25
         assert all(p.disjoint and p.second.end <= max_total for p in pairs)
 
@@ -580,6 +580,21 @@ def test_random_pairs_keep_the_rejection_stream_where_all_fit(max_total):
         assert [(p.first.a, p.first.r, p.second.a, p.second.r) for p in pairs] == (
             oracles.disjoint_pairs_by_rejection(300, seed, max_total)
         )
+
+
+def test_random_pairs_are_drawn_as_they_are_read():
+    # a list of 10^4 pairs peaks near 2.2 MB; the stream holds one pair at a time
+    peaks = []
+    for count in (10**3, 10**4):
+        tracemalloc.start()
+        try:
+            collections.deque(random_disjoint_pairs(count, seed=0), maxlen=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 64 * 1024
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_bracket_identity_random_pairs():
