@@ -18,10 +18,10 @@ raises ValueError for a usage error.  `main` alone turns that, or a
 code; any other exception is a bug and propagates as a traceback.  All
 randomness is seeded, so reruns with equal parameters emit byte-identical
 result payloads.  Timings and counters go to the manifest, not to the
-results: `search` takes its `CollisionReport.stats`, and `verify` merges
-the `stats` of its sweeps (the `eta-band` and `e11-search` sweeps fill
-them; the other lemmas record none).  Handlers encode a library record's
-fields as they are, and re-derive none of its facts.
+results: `search` takes its `CollisionReport.stats`, `verify` merges the
+`stats` of its sweeps (the `eta-band` and `e11-search` sweeps fill them),
+and `eta` records its square root's `working_bits`.  Handlers report a
+library record's facts as they are, and re-derive none of them.
 """
 
 from __future__ import annotations
@@ -225,7 +225,8 @@ def cmd_verify(args) -> Run:
 def cmd_eta(args) -> Run:
     interval = Interval(args.a, args.r)
     band = eta_band_report(interval, args.precision_bits)
-    facts = {name: getattr(band, name) for name in band._fields if name not in ("interval", "eta")}
+    names = ("q_lower", "q_upper", "q_lower_holds", "q_upper_holds",
+             "expr_bound", "expr_exact", "expr_lower_holds", "expr_upper_holds")
     # solve_eta certifies width <= 2^-p and, for r >= 1, eta inside the epsilon bracket
     results = [
         {
@@ -235,11 +236,11 @@ def cmd_eta(args) -> Run:
             "epsilon_low": epsilon(args.a, args.precision_bits),
             "epsilon_high": epsilon(args.a + args.r, args.precision_bits),
             "strict_inside": args.r >= 1,
-            "band": facts,
+            "band": {name: getattr(band, name) for name in names},
         }
     ]
     parameters = {"a": args.a, "r": args.r, "precision_bits": args.precision_bits}
-    return Run(parameters, results, "certified")
+    return Run(parameters, results, "certified", stats={"working_bits": band.eta.k - 1})
 
 
 _PAIR_FLAGS = ("a1", "r", "a2", "s")

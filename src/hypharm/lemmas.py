@@ -28,7 +28,6 @@ from .sums import (
     Interval,
     IntervalPair,
     eta_band_report,
-    eta_working_bits,
     g_exact,
     solve_eta,
     telescope_check,
@@ -641,12 +640,14 @@ def random_disjoint_pairs(count: int, seed: int, max_total: int = 500):
     Each pair costs four draws, r <= 24, s <= 24, a1 <= 100 and then a2,
     each capped so that a disjoint pair still fits; for max_total >= 149
     no cap binds.  The smallest disjoint pair, ([1..1], [2..2]), needs
-    max_total >= 2; below that no pair exists and ValueError is raised at
-    the call.  The pairs are drawn one at a time as they are read, so a
-    sweep holds one pair, not `count` of them.
+    max_total >= 2; below that, or for a seed < 0 (whose pairs would be
+    those of -seed), ValueError is raised at the call.  The pairs are drawn
+    one at a time as they are read, so a sweep holds one, not `count`.
     """
     if max_total < 2:
         raise ValueError(f"no disjoint pair fits under max_total={max_total}; needs >= 2")
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
     return _disjoint_pairs(random.Random(seed), count, max_total)
 
 
@@ -670,7 +671,8 @@ def sweep_eta_grid(
     inside the epsilon bracket) or raises CertificateError, so the
     enclosure sweep counts the windows and records no failure.  Its
     `stats` hold the windows, the largest working bits handed to a square
-    root (`working_bits`) and the grid's time (`sweep_s`).
+    root (`working_bits`) and the grid's time (`sweep_s`).  Only a failing
+    row builds a Fraction besides its G: the two it reports.
 
     The quadratic-form upper side is false as stated: it first fails at
     a=1, r=1 (value 2/5, bound 3/8).  On a <= 100, 0 <= r <= 50 it fails
@@ -686,9 +688,8 @@ def sweep_eta_grid(
     bits = 0
     for a in range(1, a_max + 1):
         for r in range(0, r_max + 1):
-            interval = Interval(a, r)
-            report = eta_band_report(interval, precision_bits)
-            bits = max(bits, eta_working_bits(interval, precision_bits))
+            report = eta_band_report(Interval(a, r), precision_bits)
+            bits = max(bits, report.eta.k - 1)
             enclosures.checked += 1
             band.checked += 1
             if not report.all_hold:

@@ -173,19 +173,20 @@ class BlockScreen:
         a0, None when `keep` is None and every start is kept, and their
         sums mod the first prime p.
 
-        The sums are differences of prefix entries, which lie in (-p, p),
-        as unsigned 64-bit integers (a negative one wrapped to
-        2^64 + diff), so adding p wraps exactly the negative ones into
-        [0, p): the smaller of diff and diff + p is the residue.
+        The sums are differences of prefix entries read at the kept starts
+        alone, in (-p, p), as unsigned 64-bit integers (a negative one
+        wrapped to 2^64 + diff), so adding p wraps exactly the negative
+        ones into [0, p): the smaller of diff and diff + p is the residue.
         """
         np = self.np
         b0 = a0 + length - 1
-        diff = self.prefix[b0 : b0 + count] - self.prefix[a0 - 1 : a0 - 1 + count]
-        residues = np.minimum(diff, diff + np.uint64(self.moduli[0]), out=diff)
         if keep is None:
-            return None, residues
-        offsets = np.flatnonzero(keep)
-        return offsets, residues[offsets]
+            offsets = None
+            diff = self.prefix[b0 : b0 + count] - self.prefix[a0 - 1 : a0 - 1 + count]
+        else:
+            offsets = np.flatnonzero(keep)
+            diff = self.prefix[b0 + offsets] - self.prefix[a0 - 1 + offsets]
+        return offsets, np.minimum(diff, diff + np.uint64(self.moduli[0]), out=diff)
 
     def _filled(self, runs, size: int):
         """The first residues of the runs' kept windows, which must number

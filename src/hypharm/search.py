@@ -51,6 +51,8 @@ class SearchConfig(namedtuple("SearchConfig", "max_n exponent modulus_count seed
             raise ValueError("exponent must be a positive integer")
         if not 1 <= modulus_count <= _MODULUS_COUNT_MAX:
             raise ValueError(f"{modulus_count} moduli: the screen takes 1 to {_MODULUS_COUNT_MAX}")
+        if seed < 0:  # random.Random(-s) draws the moduli of s
+            raise ValueError(f"seed {seed} must be >= 0")
         return super().__new__(cls, max_n, exponent, modulus_count, seed)
 
     _make = classmethod(checked_make)

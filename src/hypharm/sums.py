@@ -16,10 +16,11 @@ precision computed from its inputs.  Every certificate is the exact sign
 of a quadratic at a dyadic point m/2^k, evaluated on the integers m and k
 (`_sign`): signs at an enclosure's two ends prove it holds the root (the
 whole of telescope_check), and two more put eta inside its epsilon
-bracket.  The eta bands compare sqrt(D), D = Du/u, with rationals; each
-verdict is decided exactly by cross-multiplying against the integer Du.
-No floating point and no interval arithmetic is used.
-A certificate that cannot be established raises `CertificateError`.
+bracket.  The eta bands compare sqrt(D), D = Du/u, with rationals by
+cross-multiplying against the integer Du, so eta's records keep integers
+and build a reported Fraction only when it is read.  No floating point
+and no interval arithmetic is used; a certificate that cannot be
+established raises `CertificateError`.
 """
 
 from __future__ import annotations
@@ -222,22 +223,21 @@ def telescope_check(n: int, precision_bits: int = DEFAULT_PRECISION_BITS) -> Ver
 # ---------------------------------------------------------------------------
 
 
-class EtaSolution(namedtuple("EtaSolution", "interval eta g")):
+class EtaSolution(namedtuple("EtaSolution", "interval lo hi k g")):
     """Certified root of the product-form quadratic for one window.
 
-    ``eta`` is an `Enclosure`, ``g`` the exact window sum G(a, r) as a
-    Fraction, the quadratic's only input.  The enclosure's dyadic ends are
-    points at which the quadratic was evaluated exactly with opposite signs
-    (or a degenerate point where it vanishes).  solve_eta certifies width
-    <= 2^-p and, for r >= 1, epsilon(a) < eta < epsilon(a+r).
+    eta lies in [lo/2^k, hi/2^k]; ``eta`` builds that `Enclosure` when read.
+    The integers lo <= hi are where the quadratic was evaluated exactly with
+    opposite signs (or a degenerate point where it vanishes), and ``g`` is
+    G(a, r) as a reduced Fraction, the quadratic's only input.  solve_eta
+    certifies width <= 2^-p and, for r >= 1, epsilon(a) < eta < epsilon(a+r).
     """
 
     __slots__ = ()
 
-
-def eta_working_bits(interval: Interval, precision_bits: int) -> int:
-    """Bits of solve_eta's square root: w + 1, w = max(p + 8, 2*bitlen(a+r) + 8)."""
-    return max(precision_bits + 8, 2 * interval.end.bit_length() + 8) + 1
+    @property
+    def eta(self) -> Enclosure:
+        return Enclosure(Fraction(self.lo, 1 << self.k), Fraction(self.hi, 1 << self.k))
 
 
 def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) -> EtaSolution:
@@ -249,9 +249,9 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     D = (r+1)^2 + 4(r+1)/G = Du/u, where G = u/v, Du = (r+1)^2*u + 4(r+1)*v.
     One integer square root of D at w + 1 bits gives eta's ends as integer
     mantissas over 2^(w+2), with w = max(p + 8, 2*bitlen(a+r) + 8).  It is
-    certified without trusting the square root: the quadratic, evaluated
-    exactly at those ends, is positive at the lower and negative at the
-    upper one (zero at both if degenerate).  A width above 2^-precision_bits
+    certified on those integers, without trusting the square root: they
+    are ordered, and the quadratic is positive at the lower and negative
+    at the upper one (zero at both if degenerate).  A width above 2^-p
     raises CertificateError as well; since w >= p + 8 that is only a guard.
 
     For r >= 1 two more exact signs put eta strictly inside
@@ -269,29 +269,27 @@ def solve_eta(interval: Interval, precision_bits: int = DEFAULT_PRECISION_BITS) 
     n, s = r + 1, 2 * a + r + 1
     # Integer coefficients of v * quadratic, for exact sign evaluation.
     coeffs = (u, -u * s, u * a * (b + 1) - n * v)
-    bits = eta_working_bits(interval, precision_bits)
+    bits = max(precision_bits + 8, 2 * b.bit_length() + 8) + 1
     root_lo, root_hi = sqrt_mantissas(n * n * u + 4 * n * v, u, bits)
     # eta = (s - sqrt(D)) / 2: its ends are lo/2^k and hi/2^k
     k, lo, hi = bits + 1, (s << bits) - root_hi, (s << bits) - root_lo
-    eta = Enclosure(Fraction(lo, 1 << k), Fraction(hi, 1 << k))
-    if not _sign_change(coeffs, (lo, k), (hi, k)):
+    if lo > hi or not _sign_change(coeffs, (lo, k), (hi, k)):
         raise CertificateError(
-            f"the product-form quadratic does not change sign across {eta} for {interval}"
+            f"the product-form quadratic does not change sign across [{lo}, {hi}]/2^{k} for {interval}"
         )
     if r >= 1 and not _sign((1, -2 * a - 1, a), lo, k) < 0 < _sign((1, -2 * b - 1, b), hi, k):
         raise CertificateError(f"could not certify eta strictly inside the bracket for {interval}")
     if (hi - lo) << precision_bits > 1 << k:
         raise CertificateError(
-            f"eta enclosure {eta} for {interval} is wider than 2^-{precision_bits}"
+            f"eta enclosure [{lo}, {hi}]/2^{k} for {interval} is wider than 2^-{precision_bits}"
         )
-    return EtaSolution(interval, eta, g)
+    return EtaSolution(interval, lo, hi, k, g)
 
 
 class EtaBandReport(
     namedtuple(
         "EtaBandReport",
-        "interval eta q_lower q_upper q_lower_holds q_upper_holds"
-        " expr_bound expr_exact expr_lower_holds expr_upper_holds",
+        "interval eta q_lower_holds q_upper_holds expr_lower_holds expr_upper_holds e",
     )
 ):
     """Certified band facts for one window's offset eta (an `EtaSolution`).
@@ -299,20 +297,18 @@ class EtaBandReport(
     ``q_*`` cover 1/(4(a+r)+1) < 1 - 2*eta < 2/(4a+1).  ``expr_*`` cover
     the quadratic-form band |(4a+2r)*t - 1 + t^2| < (2r+1)/(4(a+r)) with
     t = 1 - 2*eta; its upper half is known to fail for small starts, and
-    the verdicts report that faithfully.  The bounds and ``expr_exact``
-    are Fractions, the ``*_holds`` verdicts bools.
+    the verdicts report that faithfully.  The ``*_holds`` verdicts are
+    bools, ``e`` is E = u * expr_exact (G = u/v), and the bounds and
+    ``expr_exact`` are Fractions built when read.
     """
 
     __slots__ = ()
 
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.q_lower_holds
-            and self.q_upper_holds
-            and self.expr_lower_holds
-            and self.expr_upper_holds
-        )
+    all_hold = property(lambda self: all(self[2:6]))  # the four *_holds verdicts
+    q_lower = property(lambda self: Fraction(1, 4 * self.interval.end + 1))
+    q_upper = property(lambda self: Fraction(2, 4 * self.interval.a + 1))
+    expr_bound = property(lambda self: Fraction(2 * self.interval.r + 1, 4 * self.interval.end))
+    expr_exact = property(lambda self: Fraction(self.e, self.eta.g.numerator))
 
 
 def eta_band_report(
@@ -325,7 +321,7 @@ def eta_band_report(
     D = Du/u as in solve_eta.  Hence q < t <=> (c+q)^2 < D for any q > -c,
     and (4a+2r)*t - 1 + t^2 = D - c^2 - 1 = E/u with E = Du - (c^2+1)*u;
     each verdict is such an inequality cross-multiplied by u and the
-    bounds' denominators.  The enclosure from solve_eta at precision_bits
+    bounds' denominators.  The solution from solve_eta at precision_bits
     is reported alongside, and its G is the one the comparisons use.
     """
     a, r, c = interval.a, interval.r, 2 * interval.a + interval.r
@@ -337,14 +333,11 @@ def eta_band_report(
     return EtaBandReport(
         interval,
         solution,
-        Fraction(1, ql),
-        Fraction(2, qu),
         (c * ql + 1) ** 2 * u < du * ql * ql,
         du * qu * qu < (c * qu + 2) ** 2 * u,
-        Fraction(2 * r + 1, bound_den),
-        Fraction(e, u),
         -e * bound_den < (2 * r + 1) * u,
         e * bound_den < (2 * r + 1) * u,
+        e,
     )
 
 

@@ -18,7 +18,7 @@ import hypharm.lemmas as lemmas_module
 import hypharm.search as search_module
 import hypharm.sums as sums_module
 from hypharm.cli import _VERIFY, main
-from hypharm.kernel import Enclosure, decode_dyadic, unlimited_digits
+from hypharm.kernel import decode_dyadic, unlimited_digits
 from hypharm.report import RunManifest, decode_fraction, encode_value, render, results_bytes
 from hypharm.search import SearchConfig, select_moduli
 from hypharm.sums import (
@@ -391,8 +391,8 @@ def test_verify_that_cannot_certify_exits_one_without_a_report(monkeypatch, caps
 
     def widened(interval, precision_bits):
         solution = true_solve_eta(interval, precision_bits)
-        lo, hi, d = solution.eta.lo, solution.eta.hi, Fraction(1, 2**30)
-        return solution._replace(eta=Enclosure(lo - d, hi + d))
+        d = 1 << (solution.k - 30)  # 2^-30 in units of the mantissas
+        return solution._replace(lo=solution.lo - d, hi=solution.hi + d)
 
     monkeypatch.setattr(lemmas_module, "solve_eta", widened)
     assert main(["verify", "--lemma", "bracket-identity", "--pairs", "2"]) == 1
@@ -644,6 +644,41 @@ def test_verify_eta_band_stats_go_to_the_manifest(tmp_path):
     assert code == 0
     stats = json.loads(text)["manifest"]["stats"]
     assert stats["windows"] == 300 and stats["working_bits"] == 2 * 9 + 8 + 1
+
+
+def test_eta_stats_go_to_the_manifest(tmp_path):
+    # the square root's working bits, k - 1 of the solution: w + 1 with
+    # w = max(p + 8, 2*bitlen(a+r) + 8); the results stay pinned above
+    for argv, bits in (
+        (["eta", "--a", "40", "--r", "20"], 64 + 8 + 1),
+        (["eta", "--a", "1", "--r", "3", "--precision-bits", "128"], 128 + 8 + 1),
+        (["eta", "--a", str(2**70), "--r", "1", "--precision-bits", "8"], 2 * 71 + 8 + 1),
+    ):
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        document = json.loads(text)
+        assert document["manifest"]["stats"] == {"working_bits": bits}
+        ends = [decode_dyadic(end) for end in document["results"][0]["eta"].values()]
+        assert all(end.denominator <= 2 ** (bits + 1) for end in ends)  # over 2^k, k = bits + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--max-n", "10", "--seed", "-3"],
+        ["verify", "--lemma", "decompose", "--pairs", "3", "--seed", "-3"],
+        ["verify", "--lemma", "bracket-identity", "--pairs", "3", "--seed", "-3"],
+    ],
+    ids=["search", "decompose", "bracket-identity"],
+)
+def test_negative_seed_exits_two(argv, capsys, monkeypatch):
+    # random.Random(-3) draws the stream of seed 3, so a negative seed would
+    # repeat another seed's moduli or pairs under its own name in the manifest
+    monkeypatch.setattr(search_module, "select_moduli", None)  # refused before any draw
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hypharm {argv[0]}: seed -3 must be >= 0\n"
 
 
 def test_verify_e11_search_stats_go_to_the_manifest(tmp_path):

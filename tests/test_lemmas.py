@@ -11,7 +11,7 @@ import hypharm.cli
 import hypharm.kernel
 import hypharm.lemmas
 import hypharm.sums
-from hypharm.kernel import Enclosure, PrimeSieve, Verdict
+from hypharm.kernel import PrimeSieve, Verdict
 from hypharm.lemmas import (
     check_bertrand,
     check_bracket_identity,
@@ -502,8 +502,8 @@ def test_bracket_identity_catches_a_shifted_eta(monkeypatch):
 
     def shifted(interval, precision_bits):
         solution = true_solve_eta(interval, precision_bits)
-        lo, hi, d = solution.eta.lo, solution.eta.hi, Fraction(1, 2**40)
-        return solution._replace(eta=Enclosure(lo + d, hi + d))
+        d = 1 << (solution.k - 40)  # 2^-40 in units of the mantissas
+        return solution._replace(lo=solution.lo + d, hi=solution.hi + d)
 
     pairs = [
         IntervalPair(Interval(1, 0), Interval(2, 0)),
@@ -553,6 +553,14 @@ def test_random_pairs_need_room_for_a_disjoint_pair():
     assert list(random_disjoint_pairs(1, seed=0, max_total=2)) == [
         IntervalPair(Interval(1, 0), Interval(2, 0))
     ]
+
+
+def test_random_pairs_refuse_a_negative_seed():
+    # random.Random(-3) draws the pairs of seed 3; refused at the call,
+    # before a pair is read, and seed 0 still draws
+    with pytest.raises(ValueError, match="^seed -3 must be >= 0$"):
+        random_disjoint_pairs(2, seed=-3)
+    assert len(list(random_disjoint_pairs(2, seed=0))) == 2
 
 
 def test_random_pairs_cost_four_draws_each(monkeypatch):
@@ -639,6 +647,38 @@ def test_eta_grid_sweep_keeps_its_own_stats(a_max, r_max, bits, windows, working
     assert enclosures.stats["windows"] == windows == enclosures.checked == band.checked
     assert enclosures.stats["working_bits"] == working_bits
     assert enclosures.stats["sweep_s"] > 0
+
+
+def test_eta_grid_builds_a_fraction_only_for_g_and_a_reported_row(monkeypatch):
+    # every certificate of a window is an integer sign, so a window whose
+    # band holds builds one Fraction, its G; a failing row also builds the
+    # two it reports, expr_exact and expr_bound.  The payload is unchanged
+    expected = results_bytes(list(sweep_eta_grid(4, 3, 64)))
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    true_report = hypharm.lemmas.eta_band_report
+    per_window = []  # [report, Fractions built from its call to the next]
+
+    def report(interval, precision_bits):
+        if per_window:
+            per_window[-1][1] = len(built)
+        built.clear()
+        per_window.append([true_report(interval, precision_bits), None])
+        return per_window[-1][0]
+
+    monkeypatch.setattr(hypharm.sums, "Fraction", Counted)
+    monkeypatch.setattr(hypharm.lemmas, "eta_band_report", report)
+    enclosures, band = sweep_eta_grid(4, 3, 64)
+    per_window[-1][1] = len(built)
+    assert results_bytes([enclosures, band]) == expected
+    assert len(per_window) == 16 and band.failures
+    for row, count in per_window:
+        assert count == (1 if row.all_hold else 3), (row.interval, count)
 
 
 def test_sweep_stats_stay_out_of_the_results():

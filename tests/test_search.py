@@ -55,6 +55,19 @@ def test_config_make_and_replace_validate_as_the_constructor():
         assert len(messages) == 1
 
 
+def test_config_refuses_a_negative_seed():
+    # random.Random(-5) draws the moduli of seed 5, which would then be
+    # reported under seed -5; _make and _replace check as the constructor does
+    for build in (
+        lambda: SearchConfig(max_n=10, seed=-5),
+        lambda: SearchConfig._make((10, 2, 3, -5)),
+        lambda: SearchConfig(max_n=10)._replace(seed=-5),
+    ):
+        with pytest.raises(ValueError, match="^seed -5 must be >= 0$"):
+            build()
+    assert SearchConfig(max_n=10, seed=0).seed == 0
+
+
 def test_moduli_are_seeded_distinct_primes_above_bound():
     config = SearchConfig(max_n=5000, modulus_count=4, seed=7)
     moduli = select_moduli(config)
@@ -263,9 +276,9 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
     # first residue is held by the probes [10, 10] and [8, 9]: 1/100 and
     # 145/5184 agree, as 14500 - 5184 = 68 * 137.  Two probes are compared
     # one level down, so pass 2 must not walk, let alone fingerprint, a
-    # probe: while it runs, no column is read, by index or by a slice's
-    # start, below q_1, where every probe ends, and no window there is
-    # summed
+    # probe: while it runs, no column is read, by an index, an array of
+    # indices or a slice's start, below q_1, where every probe ends, and no
+    # window there is summed
     n, moduli = 60, (137, 211)
     level = next(level for level in partition(n) if level.top == 16)
     q1 = int(level.primes[0])
@@ -280,7 +293,12 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
 
         def __getitem__(self, index):
             if confirming:
-                reads.append(index.start if isinstance(index, slice) else index)
+                if isinstance(index, slice):
+                    reads.append(index.start)
+                elif isinstance(index, int):
+                    reads.append(index)
+                else:  # an array of the kept starts' indices
+                    reads.extend(index.tolist())
             return self.array[index]
 
     def exact_sum(interval):
@@ -409,6 +427,30 @@ def test_pass_two_searches_only_the_windows_the_fill_wrote(monkeypatch):
     report = search(SearchConfig(max_n=n))
     assert report.stats["duplicate_keys"] == 222
     assert sum(searched) <= 2 * (report.stats["gap_windows"] + report.stats["probe_windows"])
+
+
+def test_fill_reads_the_prefix_column_only_at_kept_starts():
+    # a gap run holds a start for every integer above q_1, most of them
+    # not kept; the fill reads two prefix entries per window it writes,
+    # so no more than two per gap window or probe of the block
+    import numpy
+
+    n = 2000
+    moduli = select_moduli(SearchConfig(max_n=n))
+    prefix = prefix_residues(n, moduli[0], 2)
+    read = []
+
+    class Column:
+        def __getitem__(self, index):
+            entries = prefix[index]
+            read.append(numpy.size(entries))
+            return entries
+
+    for level in partition(n):
+        windows = level.gap_windows + level.probe_windows
+        read.clear()
+        BlockScreen(moduli, windows, Column(), None).gap_block(level)
+        assert sum(read) == 2 * windows, level.top
 
 
 @pytest.mark.parametrize("miscount", [1, -1], ids=["one-more", "one-fewer"])

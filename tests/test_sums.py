@@ -333,6 +333,23 @@ def test_solve_eta_rejects_an_enclosure_that_misses_the_root(monkeypatch):
             solve_eta(Interval(a, r), 64)
 
 
+def test_solve_eta_refuses_an_inverted_enclosure(monkeypatch):
+    # negating the square root's upper end moves eta's lower end to the
+    # quadratic's larger root or past it, where the quadratic is positive
+    # too: both signs then read as a sign change, and for r = 0 no bracket
+    # sign is taken, so only the order of the integer ends catches it
+    true_sqrt = hypharm.sums.sqrt_mantissas
+
+    def negated(num, den, e):
+        lo, hi = true_sqrt(num, den, e)
+        return lo, -hi
+
+    monkeypatch.setattr(hypharm.sums, "sqrt_mantissas", negated)
+    for a in (1, 3, 40):
+        with pytest.raises(CertificateError, match="does not change sign"):
+            solve_eta(Interval(a, 0), 64)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=10**4),
@@ -365,6 +382,25 @@ def test_band_report_faithfully_flags_the_failing_upper_side():
     assert report.q_lower_holds and report.q_upper_holds and report.expr_lower_holds
     assert report.expr_upper_holds is False
     assert report.expr_exact == Fraction(2, 5) and report.expr_bound == Fraction(3, 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10**4), st.integers(min_value=0, max_value=60))
+def test_band_report_fractions_match_their_closed_forms(a, r):
+    # the bounds and expr_exact are built from the integers the report keeps;
+    # each verdict agrees with the plain Fraction comparison of its band
+    report = eta_band_report(Interval(a, r))
+    g = g_exact(Interval(a, r))
+    c = 2 * a + r
+    assert report.eta.g == g
+    assert report.q_lower == Fraction(1, 4 * (a + r) + 1)
+    assert report.q_upper == Fraction(2, 4 * a + 1)
+    assert report.expr_bound == Fraction(2 * r + 1, 4 * (a + r))
+    # E/u = D - c^2 - 1, D = (r+1)^2 + 4(r+1)/G
+    assert report.expr_exact == Fraction(report.e, g.numerator)
+    assert report.expr_exact == (r + 1) ** 2 + 4 * (r + 1) / g - c * c - 1
+    assert report.expr_lower_holds == (-report.expr_bound < report.expr_exact)
+    assert report.expr_upper_holds == (report.expr_exact < report.expr_bound)
 
 
 def test_band_expr_exact_matches_enclosure_route():
