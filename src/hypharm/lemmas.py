@@ -376,25 +376,26 @@ class EquivalenceReport(
         return self.integer_form
 
 
+def _squared_centers(pair: IntervalPair) -> tuple[Fraction, Fraction, int, int]:
+    """(c1^2, c2^2, r+1, s+1) for the centers c = (2a+w)/2, whose odd powers never occur."""
+    p, q = (Fraction((window.a + window.end) ** 2, 4) for window in pair)
+    return p, q, pair.first.length, pair.second.length
+
+
 def check_eq11_equivalence(pair: IntervalPair) -> EquivalenceReport:
     """Exact check that the integer identity, its completed-square form and
     its shifted-reciprocal form all hold or all fail together."""
-    a1, r = pair.first.a, pair.first.r
-    a2, s = pair.second.a, pair.second.r
-    c1 = Fraction(2 * a1 + r, 2)
-    c2 = Fraction(2 * a2 + s, 2)
+    p, q, m, n = _squared_centers(pair)
 
-    def completed_square(c: Fraction, w: int) -> Fraction:
-        return c * c / (w + 1) - (Fraction(w + 1) - Fraction(1, w + 1)) / 4
+    def completed_square(center_sq: Fraction, length: int) -> Fraction:
+        return center_sq / length - (length - Fraction(1, length)) / 4
 
-    gap = compute_L(r, s)
+    gap = compute_L(m - 1, n - 1)
     return EquivalenceReport(
         pair=pair,
         integer_form=check_necessary_identity(pair),
-        completed_square_form=completed_square(c1, r) == completed_square(c2, s),
-        shifted_reciprocal_form=(
-            Fraction(s + 1) / (c2 * c2) == Fraction(r + 1) / (c1 * c1 + (r + 1) * gap)
-        ),
+        completed_square_form=completed_square(p, m) == completed_square(q, n),
+        shifted_reciprocal_form=n / q == m / (p + m * gap),
     )
 
 
@@ -410,12 +411,12 @@ class DecompositionReport(
         " bounds hypothesis_failures",
     )
 ):
-    """The seven difference terms of G(a1, r) - G(a2, s) and their checks.
+    """One disjoint pair's record: the seven difference terms of G(a1, r) - G(a2, s),
+    their checks, the chain hypotheses it fails and the chain's bounds.
 
     terms[0..5] are exact closed forms; terms[6] is the exact residual, so
     the seven always sum to the difference by construction.
-    ``bounds`` is populated by the positivity chain when all of its
-    hypotheses hold; otherwise ``hypothesis_failures`` names what failed.
+    ``bounds`` stay empty unless no hypothesis fails and the chain ran.
     ``rewrites_verified`` is None when the necessary identity fails.
     """
 
@@ -423,21 +424,17 @@ class DecompositionReport(
 
     @property
     def chain_certified(self) -> bool:
-        return bool(self.bounds) and all(self.bounds.values()) and not self.hypothesis_failures
+        return bool(self.bounds) and all(self.bounds.values())
 
 
 def _decomposition_terms(pair: IntervalPair) -> tuple[tuple[Fraction, ...], Fraction]:
-    a1, r = pair.first.a, pair.first.r
-    a2, s = pair.second.a, pair.second.r
-    c1 = Fraction(2 * a1 + r, 2)
-    c2 = Fraction(2 * a2 + s, 2)
-    m, n = r + 1, s + 1
-    t1 = Fraction(m) / c1**2 - Fraction(n) / c2**2
-    t2 = Fraction(m**3 - m, 4) / c1**4 - Fraction(n**3 - n, 4) / c2**4
-    t3 = Fraction(m**5, 16) / c1**6 - Fraction(n**5, 16) / c2**6
-    t4 = Fraction(5, 24) * (Fraction(n**3) / c2**6 - Fraction(m**3) / c1**6)
-    t5 = Fraction(7, 48) * (Fraction(m) / c1**6 - Fraction(n) / c2**6)
-    t6 = Fraction(1, 64) * (Fraction(m**7) / c1**8 - Fraction(n**7) / c2**8)
+    p, q, m, n = _squared_centers(pair)
+    t1 = m / p - n / q
+    t2 = (m**3 - m) / (4 * p**2) - (n**3 - n) / (4 * q**2)
+    t3 = (m**5 / p**3 - n**5 / q**3) / 16
+    t4 = Fraction(5, 24) * (n**3 / q**3 - m**3 / p**3)
+    t5 = Fraction(7, 48) * (m / p**3 - n / q**3)
+    t6 = (m**7 / p**4 - n**7 / q**4) / 64
     difference = g_exact(pair.first) - g_exact(pair.second)
     t7 = difference - (t1 + t2 + t3 + t4 + t5 + t6)
     return (t1, t2, t3, t4, t5, t6, t7), difference
@@ -454,22 +451,18 @@ def _verify_expansion_sums(r: int, s: int) -> bool:
 def _verify_rewrites(pair: IntervalPair, terms, gap: Fraction) -> bool:
     # Under the necessary identity the leading terms collapse into forms
     # proportional to powers of the gap term; all checks are exact.
-    a1, r = pair.first.a, pair.first.r
-    a2, s = pair.second.a, pair.second.r
-    c1sq = Fraction(2 * a1 + r, 2) ** 2
-    c2sq = Fraction(2 * a2 + s, 2) ** 2
-    m, n = r + 1, s + 1
+    c1sq, c2sq, m, n = _squared_centers(pair)
     t1_rw = (m * gap / c1sq) * (Fraction(n) / c2sq)
-    t12_rw = gap * (gap + Fraction(r * (r + 2), 2 * m)) * Fraction(n * n * m) / (
+    t12_rw = gap * (gap + Fraction(m * m - 1, 2 * m)) * Fraction(n * n * m) / (
         c2sq**2 * c1sq
-    ) + Fraction(r * (r + 2), 4 * m) * Fraction(n * n * m * m) * gap**2 / (c2sq**2 * c1sq**2)
+    ) + Fraction(m * m - 1, 4 * m) * Fraction(n * n * m * m) * gap**2 / (c2sq**2 * c1sq**2)
     t123_rw = (
         Fraction(1, 16)
         * (Fraction(1, n * n) - Fraction(1, m * m))
         * Fraction(n * n * m)
         / (c2sq**2 * c1sq)
         + Fraction(n * n - m * m, 16) * Fraction(n**3 * m) * gap / (c2sq**3 * c1sq)
-        + Fraction(r * (r + 2), 4 * m) * Fraction(n * n * m * m) * gap**2 / (c2sq**2 * c1sq**2)
+        + Fraction(m * m - 1, 4 * m) * Fraction(n * n * m * m) * gap**2 / (c2sq**2 * c1sq**2)
         + Fraction(3 * m**3 * n**3, 16) * gap / (c2sq**3 * c1sq)
         + Fraction(3 * m**4 * n**3, 16) * gap**2 / (c2sq**3 * c1sq**2)
         + Fraction(m**5 * n**3, 16) * gap**3 / (c2sq**3 * c1sq**3)
@@ -487,7 +480,8 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
     Requires a disjoint pair in canonical order.  The closed forms arise
     from degree-8 expansion of 1/x^2 around each window's half-integer
     center; the centered power sums that justify them are re-verified
-    against direct summation for the given extents.
+    against direct summation for the given extents.  The record names the
+    chain's hypotheses that fail, in this order, and leaves its bounds empty.
     """
     if not pair.disjoint:
         hint = "one window holds the other" if pair.nested else "reduce it to a disjoint pair first"
@@ -496,6 +490,11 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
     terms, difference = _decomposition_terms(pair)
     gap = compute_L(r, s)
     e11 = check_necessary_identity(pair)
+    hypotheses = (
+        ("s > r", s > r),
+        ("necessary-identity", e11),
+        ("a2 >= 4(s+1)^3", pair.second.a >= 4 * (s + 1) ** 3),
+    )
     return DecompositionReport(
         pair=pair,
         L=gap,
@@ -505,7 +504,7 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
         expansion_sums_verified=_verify_expansion_sums(r, s),
         rewrites_verified=_verify_rewrites(pair, terms, gap) if e11 else None,
         bounds={},
-        hypothesis_failures=(),
+        hypothesis_failures=tuple(name for name, holds in hypotheses if not holds),
     )
 
 
@@ -514,47 +513,32 @@ def taylor_decompose(pair: IntervalPair) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 
 
-def _chain_hypothesis_failures(pair: IntervalPair) -> tuple[str, ...]:
-    """The names of the chain's hypotheses that a disjoint pair fails."""
-    a2, s = pair.second.a, pair.second.r
-    hypotheses = (
-        ("s > r", s > pair.first.r),
-        ("necessary-identity", check_necessary_identity(pair)),
-        ("a2 >= 4(s+1)^3", a2 >= 4 * (s + 1) ** 3),
-    )
-    return tuple(name for name, holds in hypotheses if not holds)
-
-
 def check_positivity_chain(pair: IntervalPair) -> DecompositionReport:
     """Certify the sign chain ruling out equal sums, under its hypotheses.
 
     Disjoint windows only (ValueError otherwise).  Hypotheses: s > r, the
-    necessary identity and a2 >= 4(s+1)^3.  When any fails the report names
-    it and no bound is evaluated.  When all hold, every intermediate bound
-    and the final positivity of the difference are certified exactly.
+    necessary identity and a2 >= 4(s+1)^3.  When `taylor_decompose`'s record
+    names one as failed, it is returned as it is.  Otherwise every
+    intermediate bound and the final positivity of the difference are
+    certified exactly and added to it as ``bounds``.
     """
     report = taylor_decompose(pair)
-    failures = _chain_hypothesis_failures(pair)
-    if failures:
-        return report._replace(hypothesis_failures=failures)
+    if report.hypothesis_failures:
+        return report
 
-    a1, r = pair.first.a, pair.first.r
-    a2, s = pair.second.a, pair.second.r
     t = report.terms
-    c1 = Fraction(2 * a1 + r, 2)
-    c2 = Fraction(2 * a2 + s, 2)
-    n = s + 1
+    p, q, m, n = _squared_centers(pair)  # n - m = s - r
     head5 = t[0] + t[1] + t[2] + t[3] + t[4]
     head6 = head5 + t[5]
-    residual_floor = -Fraction(7, 512 * n) / c2**6 - Fraction(1, 32768 * n**3) / c2**10
+    residual_floor = -Fraction(7, 512 * n) / q**3 - Fraction(1, 32768 * n**3) / q**5
     bounds = {
-        "head_terms_lower": head5 > Fraction(s - r, 6) / c2**6,
-        "term6_lower": t[5] > Fraction(r - s, 512) / c2**6,
-        "head_six_lower": head6 > Fraction(s - r, 7) / c2**6,
+        "head_terms_lower": head5 > Fraction(n - m, 6) / q**3,
+        "term6_lower": t[5] > Fraction(m - n, 512) / q**3,
+        "head_six_lower": head6 > Fraction(n - m, 7) / q**3,
         "residual_intermediate_lower": t[6]
-        > -Fraction(7 * (r + 1) ** 5, 64) / c1**8 - Fraction(n**9, 256) / Fraction(a2) ** 10,
+        > -Fraction(7 * m**5, 64) / p**4 - Fraction(n**9, 256) / Fraction(pair.second.a) ** 10,
         "residual_lower": t[6] > residual_floor,
-        "margin_positive": Fraction(s - r, 7) / c2**6 + residual_floor > 0,
+        "margin_positive": Fraction(n - m, 7) / q**3 + residual_floor > 0,
         "total_positive": sum(t) > 0,
         "difference_positive": report.difference > 0,
     }
@@ -766,10 +750,10 @@ def sweep_e11_box(a_max: int, w_max: int) -> SweepResult:
     """Search the box for identity solutions and vet every disjoint one.
 
     `checked` counts every solution, the a_max*(w_max+1) trivial ones
-    (each window with itself) included.  For disjoint nontrivial
-    solutions the exact sums must differ; when the chain hypotheses also
-    hold the difference must be certified positive through every
-    intermediate bound.  `stats` count the box's windows, the nontrivial
+    (each window with itself) included.  Each disjoint nontrivial solution
+    gets one `check_positivity_chain` record: its difference must not be 0,
+    and where it names no failed hypothesis the chain's bounds must hold.
+    `stats` count the box's windows, the nontrivial
     solutions, the disjoint and the chain-eligible ones, and time the
     sweep (`sweep_s`).
     """
@@ -790,12 +774,12 @@ def sweep_e11_box(a_max: int, w_max: int) -> SweepResult:
         if a1 + r >= a2:
             continue
         disjoint.append((a1, r, a2, s))
-        if g_exact(pair.first) == g_exact(pair.second):
+        report = check_positivity_chain(pair)
+        if report.difference == 0:
             result.failures.append({"quad": (a1, r, a2, s), "reason": "equal sums"})
             continue
-        if not _chain_hypothesis_failures(pair):
+        if not report.hypothesis_failures:
             eligible.append((a1, r, a2, s))
-            report = check_positivity_chain(pair)
             if not report.chain_certified:
                 result.failures.append(
                     {"quad": (a1, r, a2, s), "reason": "chain bound failed", "bounds": report.bounds}

@@ -615,13 +615,19 @@ def test_eta_subcommand(tmp_path):
             ["reduce", "--a1", "1", "--r", "5", "--a2", "3", "--s", "6"],
             "f090e427d05e2c97ba83904010243f75fba0c3f5c41383b1300580cc1b3b2499",
         ),
+        (
+            ["verify", "--lemma", "e11-search", "--a-max", "300", "--w-max", "30"],
+            "a81cf7cdf80af5b81235e865d3827472376e53f2a6b217dd95927bfcef269b5f",
+        ),
     ],
 )
 def test_eta_results_bytes_are_pinned(tmp_path, argv, digest):
     # The benchmark's golden digests cover search and verify, not eta,
-    # decompose or reduce.  The first decompose pair is the Pell image of
-    # (3,0,7,16), so all eight chain bounds are certified; the second fails
-    # chain hypotheses.  The reduce pair overlaps without nesting.
+    # decompose or reduce; the e11-search box is the benchmark's too, pinned
+    # here so that the tests check its payload without the benchmark.  The
+    # first decompose pair is the Pell image of (3,0,7,16), so all eight
+    # chain bounds are certified; the second fails chain hypotheses.  The
+    # reduce pair overlaps without nesting.
     code, text = run_cli(argv, tmp_path)
     assert code == 0
     assert hashlib.sha256(results_bytes(json.loads(text)["results"])).hexdigest() == digest

@@ -333,6 +333,34 @@ def test_decomposition_matches_reference_on_random_pairs():
         assert report.expansion_sums_verified
 
 
+def test_decomposition_terms_match_reference_at_large_centers():
+    # the chain's quadruples, also criterion 6c's out-of-box pairs, put
+    # a2 up to 377,887: the squared centers there exceed 10^11
+    for a1, r, a2, s in CHAIN_QUADRUPLES:
+        terms, difference = hypharm.lemmas._decomposition_terms(
+            IntervalPair(Interval(a1, r), Interval(a2, s))
+        )
+        assert list(terms[:6]) == oracles.decomposition_terms_reference(a1, r, a2, s)
+        assert sum(terms) == difference == g_exact(Interval(a1, r)) - g_exact(Interval(a2, s))
+
+
+@pytest.mark.parametrize(
+    "quad, failures",
+    [
+        ((12, 3, 22, 19), ("a2 >= 4(s+1)^3",)),
+        ((3, 2, 9, 2), ("s > r", "necessary-identity", "a2 >= 4(s+1)^3")),
+        (CHAIN_QUADRUPLES[0], ()),
+    ],
+    ids=["below-the-cube", "all-three", "eligible"],
+)
+def test_decomposition_record_names_failed_hypotheses(quad, failures):
+    # the record itself names them, before the chain adds any bound
+    a1, r, a2, s = quad
+    report = taylor_decompose(IntervalPair(Interval(a1, r), Interval(a2, s)))
+    assert report.hypothesis_failures == failures
+    assert report.bounds == {} and not report.chain_certified
+
+
 def test_decomposition_rejects_overlap():
     with pytest.raises(ValueError, match="reduce it to a disjoint pair first"):
         taylor_decompose(IntervalPair(Interval(1, 4), Interval(3, 4)))
@@ -633,6 +661,65 @@ def test_e11_box_sweep_keeps_its_own_stats():
     assert box.stats["disjoint"] == len(box.notes["disjoint"]) == 14
     assert box.stats["chain_eligible"] == len(box.notes["chain_eligible"]) == 0
     assert box.stats["sweep_s"] > 0
+
+
+def test_e11_box_sweep_decomposes_each_disjoint_solution_once(monkeypatch):
+    calls = []
+    original = hypharm.lemmas.taylor_decompose
+
+    def counted(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(hypharm.lemmas, "taylor_decompose", counted)
+    box = sweep_e11_box(300, 30)
+    assert box.holds
+    assert len(calls) == box.stats["disjoint"] == 14
+    assert [(p.first.a, p.first.r, p.second.a, p.second.r) for p in calls] == box.notes["disjoint"]
+
+
+def _sweep_of_one_solution(monkeypatch, quad):
+    monkeypatch.setattr(hypharm.lemmas, "search_necessary_identity", lambda *box: [quad])
+    return sweep_e11_box(1, 0)
+
+
+def test_e11_box_sweep_certifies_an_eligible_solution(monkeypatch):
+    # the Pell image of (3, 0, 7, 16) meets every chain hypothesis
+    quad = CHAIN_QUADRUPLES[0]
+    box = _sweep_of_one_solution(monkeypatch, quad)
+    assert box.failures == []
+    assert box.notes["disjoint"] == box.notes["chain_eligible"] == [quad]
+    assert box.stats["chain_eligible"] == 1
+
+
+def test_e11_box_sweep_reads_equal_sums_from_the_record(monkeypatch):
+    original = hypharm.lemmas.check_positivity_chain
+    monkeypatch.setattr(
+        hypharm.lemmas,
+        "check_positivity_chain",
+        lambda pair: original(pair)._replace(difference=Fraction(0)),
+    )
+    quad = CHAIN_QUADRUPLES[0]
+    box = _sweep_of_one_solution(monkeypatch, quad)
+    assert box.failures == [{"quad": quad, "reason": "equal sums"}]
+    assert box.notes["disjoint"] == [quad]
+    assert box.notes["chain_eligible"] == [] and box.stats["chain_eligible"] == 0
+
+
+def test_e11_box_sweep_reports_a_failed_chain_bound(monkeypatch):
+    original = hypharm.lemmas.check_positivity_chain
+
+    def one_bound_fails(pair):
+        report = original(pair)
+        return report._replace(bounds=report.bounds | {"residual_lower": False})
+
+    monkeypatch.setattr(hypharm.lemmas, "check_positivity_chain", one_bound_fails)
+    quad = CHAIN_QUADRUPLES[0]
+    box = _sweep_of_one_solution(monkeypatch, quad)
+    (failure,) = box.failures
+    assert failure["quad"] == quad and failure["reason"] == "chain bound failed"
+    assert failure["bounds"]["residual_lower"] is False
+    assert box.notes["chain_eligible"] == [quad]
 
 
 @pytest.mark.parametrize(
