@@ -31,115 +31,195 @@ terms, or size separates the pair; if it holds a prime of the level,
 valuation does; if not, it is a gap window or a probe.  Either way the
 gap block screens the reduced pair.  So an empty list of exact
 collisions still certifies every window: an equal pair inside an end
-block shows up as the disjoint pair it reduces to.  Memory is set by the
-largest gap block with its probes, not by the N(N+1)/2 windows.
+block shows up as the disjoint pair it reduces to.
+
+The same argument holds for more primes than those in (M/2, M].  Let a
+window hold exactly one multiple kp of a prime p.  Then p^e times its
+sum is k^-e mod p, and two windows holding k1*p and k2*p differ unless
+k1^e = k2^e mod p.  With t(M) the smallest prime p > 2*floor(M/p) that
+exceeds the longest gap window, every p >= t(M) meets at most one
+integer of a gap window or probe, and k -> k^e mod p is injective on
+1..floor(M/p) for e <= 2 (k1 + k2 < p); for e >= 3 a prime whose powers
+are not injective there is left out.  Call an integer of [1, M] marked if
+it has such a prime factor.  A gap window or probe holding a marked
+integer is told apart from every other window of its block but one
+holding the same multiple; those two overlap, and removing the overlap
+leaves a pair told apart the same way or made of unmarked integers.  So
+a gap block screens only the windows of unmarked integers.  `Level`
+marks them in one byte per integer and walks the maximal runs of
+unmarked integers; memory is set by the largest gap block's unmarked
+windows, not by the N(N+1)/2 windows.  `Level` also counts the windows
+the rule drops, from the marks by a route of its own, and the fill
+checks that its gap windows and probes are the ones it wrote plus those.
 
 Inside a gap block `BlockScreen` writes the residues modulo the first
-prime of the gap windows and the probes into one column, read off the
-first modulus' prefix array, and sorts it once; the fill checks that it
-wrote exactly the level's count of windows.  Only if a residue repeats
-does it read the same runs again, search the windows the fill wrote, by
-binary search, for those whose first residue repeats, and sum only those
-exactly; each sum's residues modulo every prime are its fingerprint, as
-no prime above N divides its denominator.  Two probes are compared one
-level down, so the probes are searched only for the repeated residues
-that a gap window holds.  It calls nothing that loads numpy.ma (np.unique
-does).  `search` imports this module when it runs, so the other
-subcommands neither load numpy nor compile the screen.
+prime of the unmarked gap windows and probes into one list, one
+comprehension per run, read off the first modulus' prefix array, and
+sorts it once.  Only if a residue repeats does it walk the same runs
+again, keep the windows whose first residue is one of the repeated
+values, and sum only those exactly; each sum's residues modulo every
+prime are its fingerprint, as no prime above N divides its denominator.
+Two probes are compared one level down, so the probes are searched only
+for the repeated residues that a gap window holds.  Everything runs on
+the standard library; `search` imports this module when it runs, so the
+other subcommands do not compile it.
 """
 
 from __future__ import annotations
 
-import os
+import re
 import time
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations, compress, islice
+from operator import eq
 
-from .kernel import PrimeSieve
+from .kernel import PrimeSieve, require_memory
 from .sums import Interval, IntervalPair
 
 # Residue tuple of one window across the screening moduli.  Equal exact
 # sums imply equal fingerprints (each component is the sum mod p).
 Fingerprint = tuple[int, ...]
 
-# Memory charged per integer up to N besides the 8-byte prefix entries:
-# the scratch of one run of windows, at most 30 bytes an integer.
-_SCRATCH_BYTES = 32
+# Bytes charged per screened window of the largest gap block: its residue's
+# list slot (8), its int object (36, which the allocator rounds up to 48)
+# and half a slot of the sort's merge scratch (4).  Per integer up to N: the
+# prefix array's entry (8), every level's marks (under 2 together) and the
+# prime list (40 a prime, under 5 an integer from N = 10^4 up).
+_WINDOW_BYTES = 60
+_INTEGER_BYTES = 16
+
+_UNMARKED = re.compile(rb"\x00+")
+_SPAN = re.Match.span
+_BIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def load_numpy():
-    # The search uses no BLAS; this keeps OpenBLAS from starting idle
-    # worker threads that burn CPU while numpy loads.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy
+def _bits(flags: bytes) -> int:
+    """The 0/1 bytes `flags` as an int whose bit i is flags[i]."""
+    return int(flags.translate(_BIT)[::-1], 2) if flags else 0
 
-    return numpy
+
+def _holding(marks: int, bars: int, size: int, longest: int) -> int:
+    """How many windows of at most `longest` of `size` integers hold a bit
+    of `marks` and none of `bars` (bit i flags the i-th integer)."""
+    held = barred = count = 0
+    for length in range(1, min(longest, size) + 1):
+        held |= marks >> (length - 1)
+        barred |= bars >> (length - 1)
+        count += (held & ~barred & ((1 << (size - length + 1)) - 1)).bit_count()
+    return count
+
+
+def _windows(run: int, longest: int) -> int:
+    """How many windows of at most `longest` integers a run of `run` holds."""
+    k = min(run, longest)
+    return k * (run + 1) - k * (k + 1) // 2
+
+
+def _injective(p: int, count: int, exponent: int) -> bool:
+    """Whether k -> k^exponent mod p is injective on 1..count."""
+    return len({pow(k, exponent, p) for k in range(1, count + 1)}) == count
 
 
 class Level:
     """The windows inside [1, top] that are not inside [1, q_1 - 1].
 
-    `primes` holds q_1 < ... < q_k, the primes in (top/2, top], and
-    `bounds` the next one after each, q_{j+1}, with q_{k+1} = top + 1
-    (both int64 arrays).  `longest_gap` is the most integers strictly
-    between q_j and q_{j+1}, the length of the longest gap window;
-    `gap_windows` counts the gap windows, and `probe_windows` the windows
-    inside [1, q_1 - 1] shorter than the longest gap window.
+    `primes` holds q_1 < ... < q_k, the primes in (top/2, top].
+    `longest_gap` is the most integers strictly between q_j and q_{j+1}
+    (q_{k+1} = top + 1), the length of the longest gap window.
+    `end_windows` counts the end blocks' windows, `gap_total` and
+    `probe_total` the gap windows and probes before the rule, `dropped`
+    those of them that hold a marked integer, and `gap_windows` and
+    `probe_windows` the rest, the windows the block screens.
 
-    `gap_runs` and `probe_runs` yield the block's windows as runs,
-    (a0, count, length, keep): the windows of that length starting at
-    a = a0, ..., a0 + count - 1, restricted to the positions where the
-    bool array `keep` is true unless it is None.
+    `marks[x]` is 1 for a marked integer x of [1, top] and for the level's
+    primes, which bound the gap windows.  `runs(side)` gives the maximal
+    runs of unmarked integers of the gap windows (side 0, above q_1) or of
+    the probes (side 1, below q_1).
     """
 
-    def __init__(self, top: int, primes):
+    def __init__(self, top: int, primes: list[int], sieved: list[int], exponent: int):
         self.top, self.primes = top, primes
-        self.bounds = load_numpy().append(primes[1:], top + 1)
-        gaps = self.bounds - primes - 1
-        self.longest_gap = int(gaps.max())
-        self.gap_windows = int((gaps * (gaps + 1) // 2).sum())
-        shorter = max(self.longest_gap - 1, 0)
-        self.probe_windows = shorter * int(primes[0]) - shorter * (shorter + 1) // 2
+        bounds = primes[1:] + [top + 1]
+        gaps = [bound - q - 1 for q, bound in zip(primes, bounds)]
+        self.longest_gap = longest = max(gaps)
+        self.end_windows = sum(q * (bound - q) for q, bound in zip(primes, bounds))
+        self.gap_total = sum(g * (g + 1) // 2 for g in gaps)
+        shorter = max(longest - 1, 0)
+        self.probe_total = shorter * primes[0] - shorter * (shorter + 1) // 2
 
-    def gap_runs(self):
-        """The gap windows, a run per length over the starts above q_1."""
-        np = load_numpy()
-        q1, top = int(self.primes[0]), self.top
-        starts = np.arange(q1 + 1, top + 1)
-        # room[a - q1 - 1]: how many of a, a+1, ... come before the next prime
-        room = self.bounds[np.searchsorted(self.bounds, starts)] - starts
-        del starts
-        for length in range(1, self.longest_gap + 1):
-            count = top - q1 - length + 1
-            yield q1 + 1, count, length, room[:count] >= length
+        # t(top): the first sieved prime p > 2 * (top // p) above the longest gap
+        first, last = bisect_right(sieved, longest), bisect_right(sieved, top)
+        while first < last and sieved[first] <= 2 * (top // sieved[first]):
+            first += 1
+        self.marks = marks = bytearray(top + 1)
+        ones = memoryview(b"\x01" * (top // sieved[first] if first < last else 0))
+        for p in islice(sieved, first, last):
+            if exponent <= 2 or _injective(p, top // p, exponent):
+                marks[p::p] = ones[: top // p]
+        for q in primes:
+            marks[q] = 1
 
-    def probe_runs(self):
-        """The probes, a run per length, every start kept."""
-        q1 = int(self.primes[0])
-        for length in range(1, self.longest_gap):
-            yield 1, q1 - length, length, None
+        # the windows the rule drops, counted from the marks apart from the runs
+        q1 = primes[0]
+        bars = bytearray(top - q1)
+        for q in primes[1:]:
+            bars[q - q1 - 1] = 1
+        gap_dropped = _holding(_bits(marks[q1 + 1 :]), _bits(bars), top - q1, longest)
+        self.dropped = gap_dropped + _holding(_bits(marks[1:q1]), 0, q1 - 1, shorter)
+        self.gap_windows, self.probe_windows = (self._kept(side) for side in (0, 1))
+
+    def _side(self, side: int) -> tuple[int, int, int]:
+        """(start, end, longest): the gap windows (side 0) are taken from
+        q_1 + 1..top and the probes (side 1) from 1..q_1 - 1, the integers
+        start..end - 1, and hold at most `longest` integers."""
+        q1, longest = self.primes[0], self.longest_gap
+        if side == 0:
+            return q1 + 1, self.top + 1, longest
+        # probes are shorter than the longest gap window: none if that has one integer
+        return 1, q1 if longest > 1 else 1, longest - 1
+
+    def _kept(self, side: int) -> int:
+        """How many windows of a side hold no marked integer, by run length."""
+        start, end, longest = self._side(side)
+        lengths = Counter(map(len, _UNMARKED.findall(self.marks, start, end)))
+        return sum(count * _windows(run, longest) for run, count in lengths.items())
+
+    def runs(self, side: int):
+        """(longest, spans) of a side: the most integers of one of its
+        windows, and its maximal runs lo..end - 1 of unmarked integers, as
+        (lo, end)."""
+        start, end, longest = self._side(side)
+        return longest, map(_SPAN, _UNMARKED.finditer(self.marks, start, end))
 
 
-def partition(n: int) -> list[Level]:
-    """The screen's levels for the bound n, from top = n down to top = 2."""
-    np = load_numpy()
-    primes = np.fromiter(PrimeSieve(n).primes(), dtype=np.int64)
+def partition(n: int, exponent: int) -> list[Level]:
+    """The screen's levels for the bound n, from top = n down to top = 2.
+
+    Asks for the per-integer term of `memory_charge` before it builds its
+    prime list and its levels' marks, and checks that the end blocks and
+    gap windows of the levels, with [1, 1], are the n(n+1)/2 windows."""
+    require_memory(_INTEGER_BYTES * (n + 1), f"the screen's arrays up to {n}")
+    sieved = list(PrimeSieve(n).primes())
     levels = []
     top = n
     while top > 1:
-        lo, hi = np.searchsorted(primes, [top // 2, top], side="right").tolist()
-        levels.append(Level(top, primes[lo:hi]))
-        top = int(primes[lo]) - 1
+        lo, hi = bisect_right(sieved, top // 2), bisect_right(sieved, top)
+        levels.append(Level(top, sieved[lo:hi], sieved, exponent))
+        top = sieved[lo] - 1
+    covered = sum(level.end_windows + level.gap_total for level in levels) + 1
+    windows = n * (n + 1) // 2
+    assert covered == windows, f"the levels cover {covered} windows, not {windows}"
     return levels
 
 
 def memory_charge(levels: list[Level], n: int) -> tuple[int, int]:
-    """(windows of the largest gap block with its probes, bytes the screen
-    needs) for the bound n: per window of that block, 8 bytes of the one
-    sorted column of gap windows and probes and 1 byte of its repeat mask;
-    and per integer up to n, the first modulus' prefix array and scratch."""
+    """(windows the largest gap block screens, bytes the screen needs) for
+    the bound n: `_WINDOW_BYTES` per window of that block, and
+    `_INTEGER_BYTES` per integer up to n."""
     largest = max(level.gap_windows + level.probe_windows for level in levels)
-    return largest, 9 * largest + (8 + _SCRATCH_BYTES) * (n + 1)
+    return largest, _WINDOW_BYTES * largest + _INTEGER_BYTES * (n + 1)
 
 
 def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
@@ -152,99 +232,86 @@ def _pairs(own: list[Interval], probes: list[Interval]) -> list[IntervalPair]:
 class BlockScreen:
     """Both passes over the gap blocks, and what they found.
 
-    `prefix` holds the uint64 prefix residues modulo the first of the
-    moduli, and `exact_sum(interval)` gives a window's exact sum as a
-    Fraction; the caller supplies both.
+    `prefix` holds the prefix residues modulo the first of the moduli, and
+    `exact_sum(interval)` gives a window's exact sum as a Fraction; the
+    caller supplies both.
     """
 
-    def __init__(self, moduli: tuple[int, ...], largest_block: int, prefix, exact_sum):
-        self.np = load_numpy()
+    def __init__(self, moduli: tuple[int, ...], prefix, exact_sum):
         self.moduli, self.prefix, self.exact_sum = moduli, prefix, exact_sum
         self.fill_s = self.sort_s = self.confirm_s = 0.0
-        # every gap block's first residues are written here, one block at a time
-        self.buffer = self.np.empty(largest_block, dtype=self.np.uint64)
         self.duplicate_keys = 0
         self.group_sizes: list[int] = []
         self.screen_pairs: list[IntervalPair] = []
         self.exact_pairs: list[IntervalPair] = []
 
-    def _kept(self, a0: int, count: int, length: int, keep):
-        """(offsets, residues) of a run's kept windows: their starts less
-        a0, None when `keep` is None and every start is kept, and their
-        sums mod the first prime p.
-
-        The sums are differences of prefix entries read at the kept starts
-        alone, in (-p, p), as unsigned 64-bit integers (a negative one
-        wrapped to 2^64 + diff), so adding p wraps exactly the negative
-        ones into [0, p): the smaller of diff and diff + p is the residue.
-        """
-        np = self.np
-        b0 = a0 + length - 1
-        if keep is None:
-            offsets = None
-            diff = self.prefix[b0 : b0 + count] - self.prefix[a0 - 1 : a0 - 1 + count]
-        else:
-            offsets = np.flatnonzero(keep)
-            diff = self.prefix[b0 + offsets] - self.prefix[a0 - 1 + offsets]
-        return offsets, np.minimum(diff, diff + np.uint64(self.moduli[0]), out=diff)
-
-    def _filled(self, runs, size: int):
-        """The first residues of the runs' kept windows, which must number
-        `size`, the level's count, in buffer[:size]."""
+    def gap_block(self, level: Level) -> int:
+        """Screen the level's gap windows, among themselves and against its
+        probes; returns how many windows the fill wrote."""
         t0 = time.perf_counter()
-        keys = self.buffer[:size]
-        filled = 0
-        for run in runs:
-            _, residues = self._kept(*run)
-            assert filled + residues.size <= size, f"the runs hold more than {size} windows"
-            keys[filled : filled + residues.size] = residues
-            filled += residues.size
-        assert filled == size, f"the runs hold {filled} windows, not {size}"
-        self.fill_s += time.perf_counter() - t0
-        return keys
-
-    def gap_block(self, level: Level) -> None:
-        """The level's gap windows, among themselves and against its probes."""
-        runs = chain(level.gap_runs(), level.probe_runs())
-        keys = self._filled(runs, level.gap_windows + level.probe_windows)
-        t0 = time.perf_counter()
+        p, prefix = self.moduli[0], self.prefix
+        keys: list[int] = []
+        for side in (0, 1):
+            longest, spans = level.runs(side)
+            for lo, end in spans:
+                if end - lo == 1:  # most runs are one integer: skip the comprehension
+                    keys.append((prefix[lo] - prefix[lo - 1]) % p)
+                    continue
+                # column[i] = prefix[lo - 1 + i], so that window [lo + i, lo + j - 1]
+                # sums to column[j] - column[i]
+                column = prefix[lo - 1 : end].tolist()
+                keys += [
+                    (b - a) % p for i, a in enumerate(column, 1) for b in column[i : i + longest]
+                ]
+        size = len(keys)
+        assert size == level.gap_windows + level.probe_windows, (
+            f"the runs hold {size} windows, not {level.gap_windows + level.probe_windows}"
+        )
+        assert size + level.dropped == level.gap_total + level.probe_total, (
+            f"{size} screened and {level.dropped} dropped windows are not the level's "
+            f"{level.gap_total + level.probe_total} gap windows and probes"
+        )
+        t1 = time.perf_counter()
         keys.sort()
-        # the values that occur more than once in the block (with repeats)
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        self.sort_s += time.perf_counter() - t0
-        if repeated.size:
+        # the values that occur more than once, each key against the next
+        repeated = set(compress(keys, map(eq, keys, islice(keys, 1, None))))
+        del keys
+        t2 = time.perf_counter()
+        self.fill_s += t1 - t0
+        self.sort_s += t2 - t1
+        if repeated:
             self._confirm(repeated, level)
+        return size
 
-    def _confirm(self, repeated, level: Level) -> None:
-        """Group the level's kept windows whose first residue is repeated
-        by full fingerprint, and confirm every group exactly."""
-        np = self.np
+    def _confirm(self, repeated: set[int], level: Level) -> None:
+        """Group the level's windows whose first residue is repeated by full
+        fingerprint, and confirm every group exactly."""
         t0 = time.perf_counter()
-        # the distinct repeated values, still sorted
-        repeats = repeated[np.append(True, repeated[1:] != repeated[:-1])]
-        self.duplicate_keys += repeats.size
+        self.duplicate_keys += len(repeated)
+        p = self.moduli[0]
         # fingerprint -> exact sum -> (gap windows, probes) with that sum
         by_print: dict[Fingerprint, dict[Fraction, tuple[list[Interval], list[Interval]]]] = {}
-        for side, runs in enumerate((level.gap_runs(), level.probe_runs())):
-            for a0, count, length, keep in runs:
-                offsets, residues = self._kept(a0, count, length, keep)
-                # a hit where the repeat at a residue's sorted place equals it
-                place = np.searchsorted(repeats, residues)
-                hits = np.flatnonzero(repeats.take(place, mode="clip") == residues)
-                if offsets is not None:
-                    hits = offsets[hits]
-                for a in (hits + a0).tolist():
-                    interval = Interval(a, length - 1)
+        for side in (0, 1):
+            longest, spans = level.runs(side)
+            for lo, end in spans:
+                column = self.prefix[lo - 1 : end].tolist()
+                hits = [
+                    Interval(lo + i, r)
+                    for i, a in enumerate(column)
+                    for r, b in enumerate(column[i + 1 : i + 1 + longest])
+                    if (b - a) % p in repeated
+                ]
+                for interval in hits:
                     value = self.exact_sum(interval)
                     fingerprint = tuple(
-                        value.numerator * pow(value.denominator, -1, p) % p for p in self.moduli
+                        value.numerator * pow(value.denominator, -1, q) % q for q in self.moduli
                     )
                     by_value = by_print.setdefault(fingerprint, {})
                     by_value.setdefault(value, ([], []))[side].append(interval)
             # two probes are compared one level down, so a probe is searched
             # only for a first residue that one of the gap windows holds
-            repeats = np.array(sorted({fingerprint[0] for fingerprint in by_print}), dtype=np.uint64)
-            if not repeats.size:
+            repeated = set(fingerprint[0] for fingerprint in by_print)
+            if not repeated:
                 break
         for by_value in by_print.values():
             own, probes = ([w for group in by_value.values() for w in group[side]] for side in (0, 1))

@@ -1,28 +1,33 @@
 """Exhaustive screened search for equal window sums up to a bound.
 
 Every window {a, ..., a+r} with 1 <= a <= a+r <= N is certified, but
-only the gap windows and the probes that `screen.partition` sets out are
-screened, each by its sum's residue modulo a large prime, read off one
-prefix array in O(1) per window; the end blocks are certified by overlap
-reduction (see `screen`).  Only the screened windows whose residue repeats
-are summed exactly, and fingerprinted by the sum's residues modulo several
-large primes.  Equal exact sums force equal fingerprints, so grouping by
-fingerprint and exactly confirming every nontrivial group can never miss a
-collision; the big primes merely keep false groups negligible.
+only the gap windows and the probes that `screen.partition` sets out,
+and of those only the ones made of unmarked integers, are screened, each
+by its sum's residue modulo a large prime, read off one prefix array in
+O(1) per window; the end blocks are certified by overlap reduction and
+the other windows by valuation (see `screen`).  Only the screened windows
+whose residue repeats are summed exactly, and fingerprinted by the sum's
+residues modulo several large primes.  Equal exact sums force equal
+fingerprints, so grouping by fingerprint and exactly confirming every
+nontrivial group can never miss a collision; the big primes merely keep
+false groups negligible.
 
 The windows are screened block by block, never all at once (`screen`):
 a prime q in (M/2, M] separates the windows inside [1, M] that hold it
 from those that do not, and by Bertrand's postulate there is one for
-every M >= 2.  The windows that hold such a prime need no screen (see
-`screen`), so memory is set by the largest of the other blocks, not by
-the N(N+1)/2 windows.  The screen and numpy are loaded by the search
-itself, so the other subcommands neither load numpy nor compile the screen.
+every M >= 2.  The windows that hold such a prime need no screen, nor do
+those holding a multiple of a prime past the level's threshold (see
+`screen`), so memory is set by the largest block of unmarked windows,
+not by the N(N+1)/2 windows.  The search runs on the standard library,
+and the screen is compiled by the search itself, so the other
+subcommands do not load it.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from array import array
 from collections import namedtuple
 from itertools import accumulate
 
@@ -91,18 +96,15 @@ def prefix_residues(n_max: int, p: int, exponent: int):
     """prefix[n] = sum of k^-exponent mod p for k = 1..n; prefix[0] = 0.
 
     Any window sum mod p is prefix[a+r] - prefix[a-1].  Each term is one
-    modular power, pow(k, -exponent, p).  The entries fill a uint64 array
-    directly, 8 bytes each; take int() of them before any arithmetic.
+    modular power, pow(k, -exponent, p).  The entries fill an unsigned
+    64-bit `array`, 8 bytes each.
     """
     if p <= n_max:
         raise ValueError(f"modulus {p} must exceed the bound {n_max}")
     if not miller_rabin(p):
         raise ValueError(f"modulus {p} is not prime")
-    from .screen import load_numpy  # numpy loads only when a search runs
-
     terms = (pow(k, -exponent, p) for k in range(1, n_max + 1))
-    prefix = accumulate(terms, lambda total, term: (total + term) % p, initial=0)
-    return load_numpy().fromiter(prefix, dtype="uint64", count=n_max + 1)
+    return array("Q", map(p.__rmod__, accumulate(terms, initial=0)))
 
 
 def search(config: SearchConfig) -> CollisionReport:
@@ -119,10 +121,9 @@ def search(config: SearchConfig) -> CollisionReport:
     """
     from . import screen  # compiled only when a search runs
 
-    screen.load_numpy()  # its import counts in the run's wall time, not in prefix_s
     t0 = time.perf_counter()
     n = config.max_n
-    levels = screen.partition(n)
+    levels = screen.partition(n, config.exponent)
     largest, nbytes = screen.memory_charge(levels, n)
     require_memory(nbytes, f"the largest screen block of {largest} windows")
     moduli = select_moduli(config)
@@ -132,9 +133,8 @@ def search(config: SearchConfig) -> CollisionReport:
     def exact_sum(interval):
         return window_power_sum(interval, config.exponent)
 
-    blocks = screen.BlockScreen(moduli, largest, prefix, exact_sum)
-    for level in levels:
-        blocks.gap_block(level)
+    blocks = screen.BlockScreen(moduli, prefix, exact_sum)
+    screened = [blocks.gap_block(level) for level in levels]
     blocks.screen_pairs.sort()  # by (first, second), each window by (a, r)
     blocks.exact_pairs.sort()
 
@@ -153,6 +153,17 @@ def search(config: SearchConfig) -> CollisionReport:
             "largest_block": largest,
             "gap_windows": sum(level.gap_windows for level in levels),
             "probe_windows": sum(level.probe_windows for level in levels),
+            "dropped_windows": sum(level.dropped for level in levels),
+            "level_windows": [
+                {
+                    "top": level.top,
+                    "end_windows": level.end_windows,
+                    "block_windows": level.gap_total + level.probe_total,
+                    "dropped_windows": level.dropped,
+                    "screened_windows": count,
+                }
+                for level, count in zip(levels, screened)
+            ],
             "duplicate_keys": blocks.duplicate_keys,
             "screen_groups": len(blocks.group_sizes),
             "largest_group": max(blocks.group_sizes, default=0),

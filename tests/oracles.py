@@ -12,6 +12,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -280,7 +281,11 @@ def exact_collision_groups(n_max: int, exponent: int = 2) -> list[list[tuple[int
     return sorted(members for members in groups.values() if len(members) > 1)
 
 
-def screen_levels(n: int) -> list[dict]:
+def _trial_prime(x: int) -> bool:
+    return x > 1 and all(x % d for d in range(2, math.isqrt(x) + 1))
+
+
+def screen_levels(n: int, exponent: int = 2) -> list[dict]:
     """The partitioned screen's levels, end by end, with trial-division primes.
 
     From top = n down while top > 1: with q_1 the smallest prime in
@@ -288,34 +293,71 @@ def screen_levels(n: int) -> list[dict]:
     q the level's largest prime <= b, into the end block of q, and those
     with a > q into the gap windows.  The probes are the windows inside
     [1, q_1 - 1] shorter than the longest gap window; the next level has
-    top = q_1 - 1.  Returns one dict per level: end block sizes by prime,
-    the longest gap window's length, gap and probe window counts.
+    top = q_1 - 1.
+
+    The rule: the threshold t is the smallest prime p with
+    p > 2 * (top // p) and p above the longest gap window, and x in
+    [1, top] is marked if a prime factor p >= t of x has k -> k^exponent
+    mod p injective on 1..top // p, checked pair by pair at every
+    exponent.  Returns one dict per level: its top, end block sizes by
+    prime, the longest gap window's length, the gap and probe windows
+    before the rule (`gap_total`, `probe_total`), the threshold, the
+    marked integers, and the gap windows and probes that hold no marked
+    integer (`gap_windows`, `probe_windows`), counted window by window.
     """
-
-    def is_prime(x: int) -> bool:
-        return x > 1 and all(x % d for d in range(2, math.isqrt(x) + 1))
-
     levels = []
     top = n
     while top > 1:
-        first = next(q for q in range(top // 2 + 1, top + 1) if is_prime(q))
+        first = next(q for q in range(top // 2 + 1, top + 1) if _trial_prime(q))
         ends: dict[int, int] = {}
         gaps = longest = 0
         for b in range(first, top + 1):
-            if is_prime(b):
+            if _trial_prime(b):
                 q = b
             ends[q] = ends.get(q, 0) + q
             gaps += b - q
             longest = max(longest, b - q)
         probes = sum(first - length for length in range(1, longest))
+        threshold = next(
+            p
+            for p in range(longest + 1, top + 2)
+            if p > top or (_trial_prime(p) and p > 2 * (top // p))
+        )
+
+        def usable(p: int) -> bool:
+            powers = [pow(k, exponent, p) for k in range(1, top // p + 1)]
+            return all(powers[i] != powers[j] for i in range(len(powers)) for j in range(i))
+
+        marking = [p for p in range(threshold, top + 1) if _trial_prime(p) and usable(p)]
+        marked = {x for x in range(1, top + 1) if any(x % p == 0 for p in marking)}
+        kept = [0, 0]
+        for side, (lo, hi, cap) in enumerate(((first + 1, top, longest), (1, first - 1, longest - 1))):
+            for a in range(lo, hi + 1):
+                # [a, b] is kept while b stays in range and meets no marked integer or prime
+                b = a
+                while b <= min(hi, a + cap - 1) and b not in marked and b not in ends:
+                    kept[side] += 1
+                    b += 1
         levels.append(
-            {"ends": ends, "longest_gap": longest, "gap_windows": gaps, "probe_windows": probes}
+            {
+                "top": top,
+                "ends": ends,
+                "longest_gap": longest,
+                "gap_total": gaps,
+                "probe_total": probes,
+                "threshold": threshold,
+                "marked": marked,
+                "gap_windows": kept[0],
+                "probe_windows": kept[1],
+            }
         )
         top = first - 1
     return levels
 
 
-def screen_blocks(n: int) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+def screen_blocks(
+    n: int, exponent: int = 2, rule: bool = True
+) -> list[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
     """The partitioned screen's blocks for the bound n, window by window
     from `screen_levels`, as (own, probes) lists of windows (a, r).
 
@@ -324,19 +366,26 @@ def screen_blocks(n: int) -> list[tuple[list[tuple[int, int]], list[tuple[int, i
     own in the level's gap block; if it holds one, it is an end-block
     window, and like [1, 1], which has no level, it is own in no block.
     At each level above its own it is a probe of the gap block if it is
-    shorter than the level's longest gap window.
+    shorter than the level's longest gap window.  With `rule`, a window
+    that holds an integer the level marks is neither own nor a probe of
+    that level's block.
     """
-    levels = screen_levels(n)
+    levels = screen_levels(n, exponent)
+    for level in levels:
+        # marked_up_to[x] counts the marked integers up to x
+        level["marked_up_to"] = list(accumulate((x in level["marked"] for x in range(n + 1))))
     blocks: dict = {}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             for level in levels:
                 primes = list(level["ends"])
+                marked_up_to = level["marked_up_to"]
+                free = not rule or marked_up_to[b] == marked_up_to[a - 1]
                 if b >= primes[0]:
-                    if not any(a <= q <= b for q in primes):
+                    if free and not any(a <= q <= b for q in primes):
                         blocks.setdefault(("gap", primes[0]), ([], []))[0].append((a, b - a))
                     break
-                if b - a + 1 < level["longest_gap"]:
+                if free and b - a + 1 < level["longest_gap"]:
                     blocks.setdefault(("gap", primes[0]), ([], []))[1].append((a, b - a))
     return list(blocks.values())
 
@@ -358,7 +407,7 @@ def block_screen_counts(n: int, moduli: tuple[int, ...], exponent: int = 2) -> d
     counts = dict.fromkeys(
         ("duplicate_keys", "screen_groups", "largest_group", "exact_confirmations"), 0
     )
-    for own, probes in screen_blocks(n):
+    for own, probes in screen_blocks(n, exponent):
         first_counts = Counter(residues[window][0] for window in (*own, *probes))
         counts["duplicate_keys"] += sum(1 for count in first_counts.values() if count > 1)
         classes: dict[tuple[int, ...], list[int]] = {}
@@ -407,6 +456,25 @@ def screen_collision_pairs(
         for i in range(len(members))
         for j in range(i + 1, len(members))
     )
+
+
+def chain_bound_right_sides(a1: int, r: int, a2: int, s: int) -> dict[str, Fraction]:
+    """The right side of each of the positivity chain's bounds, by name.
+
+    Written in powers of the centers c1 = (2a1+r)/2 and c2 = (2a2+s)/2
+    themselves, as the chain states them (c2^6, c2^10, c1^8), not in
+    their squares; m = r+1 and n = s+1.
+    """
+    c1, c2 = Fraction(2 * a1 + r, 2), Fraction(2 * a2 + s, 2)
+    m, n = r + 1, s + 1
+    return {
+        "head_terms_lower": Fraction(n - m, 6) / c2**6,
+        "term6_lower": Fraction(m - n, 512) / c2**6,
+        "head_six_lower": Fraction(n - m, 7) / c2**6,
+        "residual_intermediate_lower": -Fraction(7 * m**5, 64) / c1**8
+        - Fraction(n**9, 256) / Fraction(a2) ** 10,
+        "residual_lower": -Fraction(7, 512 * n) / c2**6 - Fraction(1, 32768 * n**3) / c2**10,
+    }
 
 
 def decomposition_terms_reference(a1: int, r: int, a2: int, s: int) -> list[Fraction]:

@@ -62,18 +62,21 @@ def test_search_usage_error_exit_two(tmp_path, capsys):
 
 
 def test_search_beyond_physical_memory_exits_two_before_any_work(monkeypatch, capsys):
-    # N = 10^7 is charged 7.74 GB (a largest block of 815 million windows
-    # at 9 B each, one prefix array), more than a 4 GiB machine has;
-    # the guard must fire before the moduli, the prefix array or the
-    # screen's buffer exist
+    # N = 10^5 is charged 7.34 MB (a largest block of 95,635 windows at
+    # 60 B each, 16 B per integer), more than a 4 MiB machine has, while
+    # its prime table and the partition's per-integer 1.6 MB fit; the
+    # guard must fire before the moduli, the prefix array or any block's
+    # residues exist
     def unreachable(*args):
         raise AssertionError("search started work past the memory guard")
 
-    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 4 << 30)
+    monkeypatch.setattr(kernel_module, "physical_memory", lambda: 4 << 20)
     monkeypatch.setattr(search_module, "select_moduli", unreachable)
     monkeypatch.setattr(search_module, "prefix_residues", unreachable)
-    assert main(["search", "--max-n", "10000000"]) == 2
-    assert "physical memory" in capsys.readouterr().err
+    assert main(["search", "--max-n", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert "the largest screen block of 95635 windows needs 7338116 bytes" in err
+    assert "physical memory" in err
 
 
 @pytest.mark.parametrize(
@@ -183,18 +186,20 @@ def test_search_guard_bounds_the_moduli_before_choosing_them(monkeypatch, capsys
 
 
 def _largest_screen_block(n):
-    # the end blocks are not screened: the largest gap block with its probes
+    # the end blocks are not screened: the largest gap block with its
+    # probes, of the windows that hold no marked integer
     return max(level["gap_windows"] + level["probe_windows"] for level in oracles.screen_levels(n))
 
 
 def test_search_guard_charges_the_largest_block(monkeypatch, capsys):
-    # 9 B per window of the largest block (the shared buffer and the repeat
-    # mask), plus 8 B per integer up to N for the first modulus' prefix
-    # array and 32 B for the scratch of one run of windows: one byte less
-    # is refused, and the search runs at exactly that much
-    assert _largest_screen_block(1000) == 10884
-    charge = 9 * _largest_screen_block(1000) + (8 + 32) * 1001
-    assert charge == 137_996
+    # 60 B per window of the largest block that the rule keeps (its
+    # residue's list slot, int object and sort scratch), plus 16 B per
+    # integer up to N for the first modulus' prefix array, the marks and
+    # the prime list: one byte less is refused, and the search runs at
+    # exactly that much
+    assert _largest_screen_block(1000) == 1464
+    charge = 60 * _largest_screen_block(1000) + 16 * 1001
+    assert charge == 103_856
     monkeypatch.setattr(kernel_module, "physical_memory", lambda: charge - 1)
     assert main(["search", "--max-n", "1000"]) == 2
     assert f"needs {charge} bytes" in capsys.readouterr().err
@@ -209,14 +214,31 @@ def test_search_stats_go_to_the_manifest_not_the_results(tmp_path):
     stats = document["manifest"]["stats"]
     assert set(stats) == {
         "prefix_s", "fill_s", "sort_s", "confirm_s", "levels", "largest_block", "gap_windows",
-        "probe_windows", "duplicate_keys", "screen_groups", "largest_group",
-        "exact_confirmations", "peak_rss_kb",
+        "probe_windows", "dropped_windows", "level_windows", "duplicate_keys", "screen_groups",
+        "largest_group", "exact_confirmations", "peak_rss_kb",
     }
     assert stats["screen_groups"] == stats["largest_group"] == stats["exact_confirmations"] == 0
     levels = oracles.screen_levels(120)
     assert stats["levels"] == len(levels) and stats["largest_block"] == _largest_screen_block(120)
     assert stats["gap_windows"] == sum(level["gap_windows"] for level in levels) > 0
     assert stats["probe_windows"] == sum(level["probe_windows"] for level in levels) > 0
+    # every window by reason, level by level: the end blocks, and the gap
+    # windows and probes, which the rule drops or the block screens
+    accounts = [
+        {
+            "top": level["top"],
+            "end_windows": sum(level["ends"].values()),
+            "block_windows": level["gap_total"] + level["probe_total"],
+            "dropped_windows": level["gap_total"] + level["probe_total"]
+            - level["gap_windows"] - level["probe_windows"],
+            "screened_windows": level["gap_windows"] + level["probe_windows"],
+        }
+        for level in levels
+    ]
+    assert stats["level_windows"] == accounts
+    assert stats["dropped_windows"] == sum(account["dropped_windows"] for account in accounts) > 0
+    gap_totals = sum(level["gap_total"] for level in levels)
+    assert sum(account["end_windows"] for account in accounts) + gap_totals + 1 == 120 * 121 // 2
     config = SearchConfig(max_n=120, seed=5)
     expected = [
         {

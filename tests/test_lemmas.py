@@ -395,6 +395,55 @@ def test_chain_certifies_on_eligible_quadruples():
         assert g_exact(pair.first) > g_exact(pair.second)
 
 
+class _Term:
+    """A stand-in for chain terms: a sum of them remembers which terms it
+    holds, and a comparison records its right side and holds."""
+
+    def __init__(self, held: tuple, seen: list):
+        self.held, self.seen = held, seen
+
+    def __add__(self, other):
+        return _Term(self.held + other.held, self.seen)
+
+    def __radd__(self, other):  # sum() starts from 0
+        assert other == 0
+        return self
+
+    def __gt__(self, right):
+        self.seen.append((self.held, right))
+        return True
+
+
+def test_chain_bounds_have_the_papers_right_sides(monkeypatch):
+    # each bound's right side, read off the comparison the chain makes,
+    # equals the oracle's, written in powers of the centers, value by value;
+    # a weakened threshold (c2^8 for c2^10, say) holds on these quadruples
+    # as a verdict, but not as a value
+    order = [
+        ("head_terms_lower", (0, 1, 2, 3, 4)),
+        ("term6_lower", (5,)),
+        ("head_six_lower", (0, 1, 2, 3, 4, 5)),
+        ("residual_intermediate_lower", (6,)),
+        ("residual_lower", (6,)),
+        ("total_positive", (0, 1, 2, 3, 4, 5, 6)),
+    ]
+    for a1, r, a2, s in CHAIN_QUADRUPLES:
+        pair = IntervalPair(Interval(a1, r), Interval(a2, s))
+        record = taylor_decompose(pair)
+        seen: list = []
+        terms = tuple(_Term((i,), seen) for i in range(7))
+        monkeypatch.setattr(hypharm.lemmas, "taylor_decompose", lambda _: record._replace(terms=terms))
+        report = check_positivity_chain(pair)
+        assert [held for held, _ in seen] == [held for _, held in order]
+        right = {name: value for (name, _), (_, value) in zip(order, seen)}
+        expected = oracles.chain_bound_right_sides(a1, r, a2, s)
+        assert right.pop("total_positive") == 0
+        assert right == expected
+        assert all(isinstance(value, Fraction) for value in right.values())
+        margin = expected["head_six_lower"] + expected["residual_lower"]
+        assert report.bounds["margin_positive"] is (margin > 0) is True
+
+
 def test_chain_names_failed_hypotheses():
     report = check_positivity_chain(IntervalPair(Interval(3, 2), Interval(9, 2)))
     assert "s > r" in report.hypothesis_failures

@@ -6,13 +6,14 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
 
 import hypharm.screen as screen_module
 import hypharm.search as search_module
-from hypharm.kernel import miller_rabin, p_adic_valuation
+from hypharm.kernel import miller_rabin
 from hypharm.screen import BlockScreen, memory_charge, partition
 from hypharm.search import (
     SearchConfig,
@@ -79,7 +80,7 @@ def test_moduli_are_seeded_distinct_primes_above_bound():
 
 def test_prefix_residues_examples():
     prefix = prefix_residues(10, 101, 2)
-    assert prefix.dtype.name == "uint64" and prefix.size == 11
+    assert prefix.typecode == "Q" and prefix.itemsize == 8 and len(prefix) == 11
     assert prefix[0] == 0
     assert prefix[2] == 77  # 1 + inverse(4) mod 101
     assert (int(prefix[2]) - int(prefix[0])) % 101 == oracles.g_mod(1, 1, 101)
@@ -146,11 +147,11 @@ def test_search_deterministic_across_reruns():
         assert other.exact_collision_pairs == reference.exact_collision_pairs
 
 
-def _screened_together(n):
+def _screened_together(n, exponent, rule=True):
     """Whether the partition compares two windows, from `oracles.screen_blocks`:
     windows of one block, or a gap window and one of its probes."""
     places: dict = {}
-    for index, (own, probes) in enumerate(oracles.screen_blocks(n)):
+    for index, (own, probes) in enumerate(oracles.screen_blocks(n, exponent, rule)):
         for side, windows in enumerate((own, probes)):
             for window in windows:
                 places.setdefault(window, []).append((index, side))
@@ -165,20 +166,77 @@ def _screened_together(n):
     return together
 
 
+def _told_apart(n, exponent):
+    """Whether two windows inside [1, n] have unequal sums for a reason that
+    needs no residue: the later has no more terms than the earlier, each of
+    them smaller; or a prime q is in the denominator of one of the sums,
+    and the q-adic valuation of their difference is the smaller of the
+    two sums' valuations, so that their leading q-adic terms do not cancel.
+    That covers a prime of a level, which divides one window's terms and
+    not the other's, and the rule's primes, which divide both at
+    multiples k1*q and k2*q with k1^e and k2^e apart mod q."""
+    sums = oracles.window_sums(n, exponent)
+    primes = [q for q in range(n, 1, -1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+
+    def valuation(x, q):
+        count = 0
+        while x % q == 0:
+            x, count = x // q, count + 1
+        return count
+
+    def told_apart(first, second):
+        (a1, r1), (a2, r2) = first, second
+        if a1 + r1 < a2 and r1 >= r2:
+            return True
+        g1, g2 = sums[first], sums[second]
+        if g1 == g2:
+            return False
+        difference = g1 - g2
+        for q in primes:
+            if g1.denominator % q and g2.denominator % q:
+                continue
+            smaller = -max(valuation(g1.denominator, q), valuation(g2.denominator, q))
+            if valuation(abs(difference.numerator), q) - valuation(difference.denominator, q) == smaller:
+                return True
+        return False
+
+    return told_apart
+
+
+def _dropped_pair_reason(pair, told_apart, kept):
+    """Why a pair the screen does not compare has unequal sums: told apart,
+    nested (one window holds the other, so its sum is larger), or
+    overlapping so that removing the overlap leaves a disjoint pair with
+    the same difference of sums, which `kept` holds or which is told apart."""
+    (a1, r1), (a2, r2) = pair
+    b1, b2 = a1 + r1, a2 + r2
+    if told_apart(*pair):
+        return "separated"
+    if a1 == a2 or b2 <= b1:
+        return "nested"
+    assert a1 < a2 <= b1 < b2, pair
+    reduced = ((a1, a2 - 1 - a1), (b1 + 1, b2 - b1 - 1))
+    if kept(*reduced):
+        return "reduced-screened"
+    assert told_apart(*reduced), pair
+    return "reduced-separated"
+
+
 @pytest.mark.parametrize("exponent", [1, 2])
 @pytest.mark.parametrize(
     "n, moduli",
-    [(100, (1009,)), (130, (2003,)), (150, (4001, 4003)), (60, (61,)), (60, (211, 223))],
+    [(100, (1009,)), (130, (2003,)), (200, (4001, 4003)), (60, (61,)), (60, (211, 223))],
     ids=["p1009", "p2003", "p4001-p4003", "p61", "p211-p223"],
 )
 def test_partition_drops_only_valuation_separated_pairs(monkeypatch, n, moduli, exponent):
     # The screen compares only windows of one gap block, or a gap window
     # with a probe, so it reports exactly those of them that agree modulo
     # every forced prime.  Each pair it leaves out must have unequal sums
-    # for a reason that needs no residue: a prime q <= N whose valuation
-    # tells the two denominators apart, or, for a window too long to probe,
-    # as many terms as a later window and each of them larger.  Pairs
-    # inside an end block have reasons of their own (below).  At 61, 1830
+    # for a reason that needs no residue: a prime q <= N at which the
+    # q-adic leading terms of the two sums do not cancel (a prime of a
+    # level, or one of the rule's), or, for a window too long to probe, as
+    # many terms as a later window and each of them larger.  Pairs inside
+    # an end block have reasons of their own (below).  At 61, 1830
     # windows in 61 residue classes force screen groups by the pigeonhole
     # principle; at (211, 223) many pairs agree mod 211 only, and the
     # re-screen over every modulus must drop them.
@@ -188,7 +246,7 @@ def test_partition_drops_only_valuation_separated_pairs(monkeypatch, n, moduli, 
         ((p.first.a, p.first.r), (p.second.a, p.second.r)) for p in report.screen_collision_pairs
     ]
     expected = oracles.screen_collision_pairs(n, moduli, exponent)
-    together = _screened_together(n)
+    together = _screened_together(n, exponent)
     assert screened == [pair for pair in expected if together(*pair)]
     assert report.exact_collision_pairs == []
     stats = report.stats
@@ -199,63 +257,102 @@ def test_partition_drops_only_valuation_separated_pairs(monkeypatch, n, moduli, 
         assert screened and len(screened) < len(expected)
         assert stats["screen_groups"] > 0 and stats["largest_group"] >= 2
         # a gap window of the top level against a probe below its first prime
-        first_prime = int(partition(n)[0].primes[0])
+        first_prime = partition(n, exponent)[0].primes[0]
         assert any((w1[0] + w1[1] < first_prime) != (w2[0] + w2[1] < first_prime) for w1, w2 in screened)
     else:
         first_only = oracles.screen_collision_pairs(n, moduli[:1], exponent)
         assert len([pair for pair in first_only if together(*pair)]) > len(screened)
-    denominators = {window: value.denominator for window, value in oracles.window_sums(n, exponent).items()}
-    primes = [q for q in range(n, 1, -1) if all(q % d for d in range(2, math.isqrt(q) + 1))]
-
-    def separated(first, second):
-        d1, d2 = denominators[first], denominators[second]
-        (a1, r1), (a2, r2) = first, second
-        return (a1 + r1 < a2 and r1 >= r2) or any(
-            (d1 % q == 0 or d2 % q == 0) and p_adic_valuation(d1, q) != p_adic_valuation(d2, q)
-            for q in primes
-        )
-
-    # The end blocks are not screened.  A dropped pair that neither reason
-    # tells apart must be nested (one window holds the other, so its sum is
-    # larger), or overlap so that removing the overlap leaves a disjoint
-    # pair with the same difference of sums: one the screen reports, or one
-    # told apart by valuation or size.
-    reasons = Counter()
-    for pair in set(expected).difference(screened):
-        (a1, r1), (a2, r2) = pair
-        b1, b2 = a1 + r1, a2 + r2
-        if separated(*pair):
-            reasons["separated"] += 1
-        elif a1 == a2 or b2 <= b1:
-            reasons["nested"] += 1
-        else:
-            assert a1 < a2 <= b1 < b2, pair
-            reduced = ((a1, a2 - 1 - a1), (b1 + 1, b2 - b1 - 1))
-            reason = "reduced-screened" if reduced in screened else "reduced-separated"
-            assert reason == "reduced-screened" or separated(*reduced), pair
-            reasons[reason] += 1
-    if len(moduli) == 1:
-        assert set(reasons) == {"separated", "nested", "reduced-screened", "reduced-separated"}
+    # The end blocks are not screened, nor are the windows that hold an
+    # integer the rule marks.  A dropped pair that no reason tells apart
+    # must be nested, or reduce to a pair the screen reports or one told
+    # apart.
+    told_apart = _told_apart(n, exponent)
+    reported = set(screened)
+    reasons = Counter(
+        _dropped_pair_reason(pair, told_apart, lambda *reduced: reduced in reported)
+        for pair in set(expected).difference(screened)
+    )
+    if moduli == (61,):
+        # every reason occurs where most pairs agree; a pair whose reduced
+        # pair is told apart by a valuation is told apart itself, as the
+        # overlap cancels from the difference
+        assert {"separated", "nested", "reduced-screened"} <= set(reasons)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 64, 65, 100, 1000, 5000])
+@pytest.mark.parametrize("exponent", [1, 2, 3])
+@pytest.mark.parametrize("n", [60, 100])
+def test_the_rule_drops_only_pairs_told_apart(n, exponent):
+    # Every pair of one gap block, or of a gap window and one of its
+    # probes, that the rule leaves out is told apart by a valuation, nested,
+    # or reduces to a pair the blocks still compare or one told apart.  At
+    # exponent 3 the prime 7 is left out where it would mark 7 and 14
+    # (1^3 = 2^3 mod 7), so there a pair holding one each is compared.
+    before = _screened_together(n, exponent, rule=False)
+    together = _screened_together(n, exponent)
+    told_apart = _told_apart(n, exponent)
+    dropped = [
+        pair
+        for own, probes in oracles.screen_blocks(n, exponent, rule=False)
+        for pair in [*combinations(sorted(own), 2), *((w, p) if w < p else (p, w) for w in own for p in probes)]
+        if not together(*pair)
+    ]
+    assert dropped and all(before(*pair) for pair in dropped)
+    reasons = Counter(_dropped_pair_reason(pair, told_apart, together) for pair in dropped)
+    assert reasons["separated"] > 0, reasons
+
+
+@pytest.mark.parametrize("exponent", [1, 2, 3])
+def test_every_pair_the_rule_drops_has_distinct_exact_sums(exponent):
+    # window by window at N = 200: a block without the rule, grouped by
+    # exact sum, holds no two equal windows that the blocks with it do not
+    # compare
+    n = 200
+    sums = oracles.window_sums(n, exponent)
+    together = _screened_together(n, exponent)
+    dropped = 0
+    for own, probes in oracles.screen_blocks(n, exponent, rule=False):
+        by_value: dict = {}
+        for side, windows in enumerate((own, probes)):
+            for window in windows:
+                by_value.setdefault(sums[window], []).append((side, window))
+        for members in by_value.values():
+            for (side, first), (other_side, second) in combinations(members, 2):
+                assert (side and other_side) or together(first, second), (first, second)
+        dropped += sum(not together(first, second) for first, second in combinations(own, 2))
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 27, 64, 65, 100, 200, 1000, 5000])
 def test_partition_covers_every_window_once(n):
-    levels = partition(n)
-    expected_levels = oracles.screen_levels(n)
+    # at every exponent up to N = 1000, where the rule keeps the oracle's
+    # windows, and at exponent 2 beyond
+    for exponent in (1, 2, 3) if n <= 1000 else (2,):
+        _check_partition(n, exponent)
+
+
+def _check_partition(n, exponent):
+    levels = partition(n, exponent)
+    expected_levels = oracles.screen_levels(n, exponent)
     assert len(levels) == len(expected_levels)
     for level, expected in zip(levels, expected_levels):
-        assert level.primes.tolist() == list(expected["ends"])
+        assert level.primes == list(expected["ends"])
+        assert level.end_windows == sum(expected["ends"].values())
+        assert level.gap_total == expected["gap_total"]
+        assert level.probe_total == expected["probe_total"]
+        # the rule keeps the windows the oracle finds free of marked integers
         assert level.gap_windows == expected["gap_windows"]
         assert level.probe_windows == expected["probe_windows"]
+        assert level.dropped == level.gap_total + level.probe_total - level.gap_windows - level.probe_windows
     ends = sum(sum(level["ends"].values()) for level in expected_levels)
-    gaps = sum(level.gap_windows for level in levels)
+    gaps = sum(level.gap_total for level in levels)
     # the 1 is [1, 1], which no level takes
     assert ends + gaps + 1 == n * (n + 1) // 2
-    # 9 B per window of the largest block (its residue and its byte of the
-    # repeat mask), and per integer 8 B of prefix array and 32 B of scratch
+    # 60 B per window of the largest block (its residue's slot and int and
+    # the sort's scratch), and per integer 8 B of prefix array, the marks
+    # and the prime list
     largest, charge = memory_charge(levels, n)
     assert largest == max(level.gap_windows + level.probe_windows for level in levels)
-    assert charge == 9 * largest + (8 + 32) * (n + 1)
+    assert charge == 60 * largest + 16 * (n + 1)
 
 
 @pytest.mark.parametrize("exponent", [1, 2])
@@ -272,7 +369,8 @@ def test_duplicate_keys_count_the_repeated_first_residues(monkeypatch, moduli, e
 
 def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
     # at N = 60 the level M = 16 has q_1 = 11, gap windows in [12, 16] and
-    # probes of one or two terms in [1, 10].  Modulo 137 its only repeated
+    # probes of one or two terms in [1, 10] (the rule marks 7, 11, 13 and
+    # 14, and keeps both probes below).  Modulo 137 its only repeated
     # first residue is held by the probes [10, 10] and [8, 9]: 1/100 and
     # 145/5184 agree, as 14500 - 5184 = 68 * 137.  Two probes are compared
     # one level down, so pass 2 must not walk, let alone fingerprint, a
@@ -280,8 +378,8 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
     # indices or a slice's start, below q_1, where every probe ends, and no
     # window there is summed
     n, moduli = 60, (137, 211)
-    level = next(level for level in partition(n) if level.top == 16)
-    q1 = int(level.primes[0])
+    level = next(level for level in partition(n, 2) if level.top == 16)
+    q1 = level.primes[0]
     sums = [window_power_sum(Interval(a, b - a), 2) for a, b in ((10, 10), (8, 9))]
     residues = {value.numerator * pow(value.denominator, -1, moduli[0]) % moduli[0] for value in sums}
     assert q1 == 11 and len(residues) == 1 and sums[0] != sums[1]
@@ -297,18 +395,13 @@ def test_probes_are_walked_only_for_a_first_residue_a_gap_window_holds():
                     reads.append(index.start)
                 elif isinstance(index, int):
                     reads.append(index)
-                else:  # an array of the kept starts' indices
-                    reads.extend(index.tolist())
             return self.array[index]
 
     def exact_sum(interval):
         summed.append(interval)
         return window_power_sum(interval, 2)
 
-    blocks = BlockScreen(
-        moduli, level.gap_windows + level.probe_windows,
-        Column(prefix_residues(n, moduli[0], 2)), exact_sum,
-    )
+    blocks = BlockScreen(moduli, Column(prefix_residues(n, moduli[0], 2)), exact_sum)
     true_confirm = blocks._confirm
 
     def confirm(*args):
@@ -369,24 +462,24 @@ def test_phase_timings_do_not_exceed_the_search(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, first_bits, duplicate_keys",
-    [(20_000, None, 0), (40_000, None, 0), (20_000, 30, 222), (40_000, 30, 1677)],
-    ids=["20000", "40000", "20000-first-30-bit", "40000-first-30-bit"],
+    [(20_000, None, 0), (40_000, None, 0), (20_000, 30, 0), (40_000, 30, 2), (20_000, 24, 26)],
+    ids=["20000", "40000", "20000-first-30-bit", "40000-first-30-bit", "20000-first-24-bit"],
 )
 def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys):
-    # with the moduli and the prefix array built beforehand, what the
-    # screen allocates is the shared buffer, the repeat mask of one block
-    # and the scratch of one run: the charge less the prefix array must
-    # hold it.  At these bounds it holds it with less than a
-    # byte per window of the largest block to spare, so a charge that left
-    # out the mask would not.  A 30-bit first modulus makes first residues
-    # repeat, so pass 2 runs, with its scratch, its exact sums and its
-    # groups, inside the same charge
+    # with the levels, the moduli and the prefix array built beforehand,
+    # what the screen allocates is one block's list of residues, their
+    # ints and the sort's scratch: the charge less its per-integer term
+    # must hold it, and it holds more than the list's slots and the ints'
+    # 36 bytes each (the allocator rounds them up to 48, which tracemalloc
+    # does not count).  A 30- or 24-bit first modulus makes first residues
+    # repeat (at 40,000 and 20,000), so pass 2 runs, with its exact sums and
+    # its groups, inside the same charge
     config = SearchConfig(max_n=n)
     moduli = select_moduli(config)
     if first_bits:
         moduli = (oracles.forced_first_modulus(first_bits), *moduli[1:])
     prefix = prefix_residues(n, moduli[0], config.exponent)
-    levels = partition(n)
+    levels = partition(n, config.exponent)
     largest, charge = memory_charge(levels, n)
 
     def exact_sum(interval):
@@ -394,47 +487,46 @@ def test_block_screen_peak_stays_within_its_charge(n, first_bits, duplicate_keys
 
     tracemalloc.start()
     try:
-        blocks = BlockScreen(moduli, largest, prefix, exact_sum)
+        blocks = BlockScreen(moduli, prefix, exact_sum)
         for level in levels:
             blocks.gap_block(level)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert blocks.duplicate_keys == duplicate_keys
-    assert 9 * largest < peak <= charge - 8 * (n + 1)
+    assert (8 + 36) * largest < peak <= charge - 16 * (n + 1)
+
+
+class _CountingSet(set):
+    """A set that counts its membership tests in `lookups`."""
+
+    lookups = 0
+
+    def __contains__(self, value):
+        _CountingSet.lookups += 1
+        return super().__contains__(value)
 
 
 def test_pass_two_searches_only_the_windows_the_fill_wrote(monkeypatch):
-    # a gap run holds a start for every integer above q_1, most of them
-    # not kept (at N = 10^5 5.95M starts for 0.78M gap windows); pass 2
-    # must search the repeated residues only for the windows the fill
-    # wrote, so that all binary searches of a search, its room arrays
-    # included, take no more than two elements per screened window
-    import numpy
-
+    # pass 2 walks the fill's runs, whose windows are the screened ones
+    # alone; it looks each one's first residue up once among the repeated
+    # values, so no more lookups than screened windows, and a probe only
+    # when a gap window holds a repeated residue
     n = 20_000
-    searched = []
-    true_searchsorted = numpy.searchsorted
-
-    def counted(a, v, *args, **kwargs):
-        searched.append(numpy.size(v))
-        return true_searchsorted(a, v, *args, **kwargs)
-
-    first = oracles.forced_first_modulus(30)
+    first = oracles.forced_first_modulus(24)
     moduli = (first, *select_moduli(SearchConfig(max_n=n))[1:])
     monkeypatch.setattr(search_module, "select_moduli", lambda config: moduli)
-    monkeypatch.setattr(numpy, "searchsorted", counted)
+    monkeypatch.setattr(screen_module, "set", _CountingSet, raising=False)
+    _CountingSet.lookups = 0
     report = search(SearchConfig(max_n=n))
-    assert report.stats["duplicate_keys"] == 222
-    assert sum(searched) <= 2 * (report.stats["gap_windows"] + report.stats["probe_windows"])
+    assert report.stats["duplicate_keys"] == 26
+    assert 0 < _CountingSet.lookups <= report.stats["gap_windows"] + report.stats["probe_windows"]
 
 
 def test_fill_reads_the_prefix_column_only_at_kept_starts():
-    # a gap run holds a start for every integer above q_1, most of them
-    # not kept; the fill reads two prefix entries per window it writes,
-    # so no more than two per gap window or probe of the block
-    import numpy
-
+    # the fill reads a run's prefix entries once, one more than the run
+    # holds integers, so no more than two per gap window or probe it
+    # writes, and none for a marked integer's windows
     n = 2000
     moduli = select_moduli(SearchConfig(max_n=n))
     prefix = prefix_residues(n, moduli[0], 2)
@@ -443,60 +535,60 @@ def test_fill_reads_the_prefix_column_only_at_kept_starts():
     class Column:
         def __getitem__(self, index):
             entries = prefix[index]
-            read.append(numpy.size(entries))
+            read.append(len(entries) if isinstance(index, slice) else 1)
             return entries
 
-    for level in partition(n):
+    for level in partition(n, 2):
         windows = level.gap_windows + level.probe_windows
         read.clear()
-        BlockScreen(moduli, windows, Column(), None).gap_block(level)
-        assert sum(read) == 2 * windows, level.top
+        assert BlockScreen(moduli, Column(), None).gap_block(level) == windows
+        assert (windows == 0) == (sum(read) == 0) and sum(read) <= 2 * windows, level.top
 
 
 @pytest.mark.parametrize("miscount", [1, -1], ids=["one-more", "one-fewer"])
 def test_fill_refuses_a_level_count_its_runs_do_not_hold(miscount):
     # a partition bug must show as a traceback: the fill checks that the
-    # level's runs hold exactly its count, neither writing past it (a
-    # numpy ValueError, which main would report as a usage error) nor
-    # leaving a stale tail of the buffer in the sorted column
+    # level's runs hold exactly its count of screened windows
     n = 200
-    level = partition(n)[0]
+    level = partition(n, 2)[0]
     level.gap_windows += miscount
     moduli = select_moduli(SearchConfig(max_n=n))
     blocks = BlockScreen(
-        moduli, level.gap_windows + level.probe_windows,
-        prefix_residues(n, moduli[0], 2), lambda interval: window_power_sum(interval, 2),
+        moduli, prefix_residues(n, moduli[0], 2), lambda interval: window_power_sum(interval, 2)
     )
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="the runs hold"):
         blocks.gap_block(level)
 
 
-def test_prefix_s_leaves_out_numpys_import(monkeypatch):
-    # a fresh process imports numpy on its first load_numpy call; a sleep
-    # stands in for that import here, and must not count in prefix_s
-    true_load_numpy = screen_module.load_numpy
-    calls = []
+@pytest.mark.parametrize("miscount", [1, -1], ids=["one-more", "one-fewer"])
+def test_fill_refuses_a_level_whose_dropped_count_is_off(miscount):
+    # the windows the fill writes and those the rule drops, counted from
+    # the marks apart from the runs, must make up the level's gap windows
+    # and probes
+    n = 200
+    level = partition(n, 2)[0]
+    level.dropped += miscount
+    moduli = select_moduli(SearchConfig(max_n=n))
+    blocks = BlockScreen(
+        moduli, prefix_residues(n, moduli[0], 2), lambda interval: window_power_sum(interval, 2)
+    )
+    with pytest.raises(AssertionError, match="dropped"):
+        blocks.gap_block(level)
 
-    def slow_first_load():
-        if not calls:
-            time.sleep(0.2)
-        calls.append(None)
-        return true_load_numpy()
 
-    monkeypatch.setattr(screen_module, "load_numpy", slow_first_load)
-    report = search(SearchConfig(max_n=100))
-    assert calls and report.stats["prefix_s"] < 0.2
-
-
-def test_search_does_not_load_numpy_ma():
-    # np.unique imports numpy.ma (about 16 ms) on its first call
+def test_search_runs_without_numpy():
+    # with numpy blocked, any import of it raises ImportError: the whole
+    # `hypharm search` runs on the standard library
     probe = (
-        "import sys; from hypharm.search import SearchConfig, search; "
-        "search(SearchConfig(max_n=50)); print('numpy.ma' in sys.modules)"
+        "import sys; sys.modules['numpy'] = None; from hypharm.cli import main; "
+        "code = main(['search', '--max-n', '1000', '--format', 'json']); "
+        "loaded = [name for name, module in sys.modules.items() "
+        "if name.split('.')[0] == 'numpy' and module is not None]; "
+        "print(code, loaded, file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stderr.strip() == "0 []"
 
 
 def test_confirm_exact_examples():
@@ -508,10 +600,11 @@ def test_confirm_exact_examples():
 
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
-    reason="needs /proc and more than one CPU, where OpenBLAS would start workers",
+    reason="needs /proc and more than one CPU, where a thread pool would start workers",
 )
 def test_search_runs_on_one_thread():
-    # numpy's OpenBLAS would otherwise start a worker per CPU on import
+    # the search starts no thread: no pool, and no library that starts a
+    # worker per CPU on import, as numpy's OpenBLAS did
     probe = (
         "import os; from hypharm.search import SearchConfig, search; "
         "search(SearchConfig(max_n=50)); print(len(os.listdir('/proc/self/task')))"
